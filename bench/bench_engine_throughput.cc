@@ -12,11 +12,8 @@
 //   variant suffix: small (16-byte pair<int64,int64>) vs large
 //         (pair<int64,string> with a 48-char heap payload).
 //
-// The chain/ families additionally take arg1: the fusion arm (0 = eager,
-// 1 = fused with type-erased feeds, 2 = fused with static feeds), A/B/C-ing
-// the narrow-op pipeline representations on a map -> filter -> map ->
-// mapValues chain and a 10-op deep chain (results and simulated metrics
-// are bit-identical across the arms; only wall-clock moves).
+// The chain/ families time the fused narrow-op pipeline on a map -> filter
+// -> map -> mapValues chain and a 10-op deep chain.
 //
 // Reported time is manual wall time of the operator alone (datagen and
 // Cluster::Reset excluded); items/s counts synthetic input elements. With
@@ -124,8 +121,8 @@ void BM_Map_Small(benchmark::State& state) {
     auto out = engine::Map(b, [](const std::pair<int64_t, int64_t>& p) {
       return std::pair<int64_t, int64_t>(p.first, p.second + 1);
     });
-    // With fusion on Map composes instantly; force so the measured region
-    // covers the materialization, keeping this row comparable across arms.
+    // Map composes instantly; force so the measured region covers the
+    // materialization.
     out.Force();
     return out;
   });
@@ -318,41 +315,15 @@ void BM_ShuffleGroup_Chaos(benchmark::State& state) {
       static_cast<double>(cluster.metrics().inmemory_fallbacks);
 }
 
-// --- Narrow chains: map -> filter -> map -> mapValues, fused vs eager ---
+// --- Narrow chains: map -> filter -> map -> mapValues ---
 //
 // The chain benches force the result inside the measured region (chains are
-// pending until forced with fusion on); the arm is carried in the run name
-// so the metrics JSON gets an A/B/C grid per pool arm:
-//   fusion0        eager per-op passes (fusion disabled)
-//   fusion1static0 fused, legacy type-erased std::function feed chain
-//   fusion1static1 fused, static CRTP feed chain (one monomorphic loop)
-// Results and simulated metrics are bit-identical across all three arms;
-// only wall-clock moves.
-
-void ApplyChainArm(engine::ClusterConfig* cfg, int64_t arm) {
-  cfg->fusion.enabled = arm != 0;
-  cfg->fusion.static_feeds = arm == 2;
-}
-
-const char* ChainArmName(int64_t arm) {
-  switch (arm) {
-    case 0:
-      return "fusion0";
-    case 1:
-      return "fusion1static0";
-    default:
-      return "fusion1static1";
-  }
-}
+// pending until forced), so each row covers the whole fused pass.
 
 void BM_Chain_Small(benchmark::State& state) {
-  engine::ClusterConfig cfg = Config(state.range(0) != 0);
-  ApplyChainArm(&cfg, state.range(1));
-  Cluster cluster(cfg);
+  Cluster cluster(Config(state.range(0) != 0));
   auto bag = engine::Parallelize(&cluster, SmallData(kSmallN), kParts);
-  std::string name =
-      std::string("chain/small/") + ChainArmName(state.range(1));
-  MeasureOp(state, name.c_str(), &cluster, bag, [](const auto& b) {
+  MeasureOp(state, "chain/small", &cluster, bag, [](const auto& b) {
     auto m1 = engine::Map(b, [](const std::pair<int64_t, int64_t>& p) {
       return std::pair<int64_t, int64_t>(p.first, p.second + 1);
     });
@@ -366,18 +337,12 @@ void BM_Chain_Small(benchmark::State& state) {
     mv.Force();  // the action boundary: materialize inside the timed region
     return mv;
   });
-  state.counters["fusion"] = cfg.fusion.enabled ? 1 : 0;
-  state.counters["static"] = cfg.fusion.static_feeds ? 1 : 0;
 }
 
 void BM_Chain_Large(benchmark::State& state) {
-  engine::ClusterConfig cfg = Config(state.range(0) != 0);
-  ApplyChainArm(&cfg, state.range(1));
-  Cluster cluster(cfg);
+  Cluster cluster(Config(state.range(0) != 0));
   auto bag = engine::Parallelize(&cluster, LargeData(kLargeN), kParts);
-  std::string name =
-      std::string("chain/large/") + ChainArmName(state.range(1));
-  MeasureOp(state, name.c_str(), &cluster, bag, [](const auto& b) {
+  MeasureOp(state, "chain/large", &cluster, bag, [](const auto& b) {
     auto m1 = engine::Map(b, [](const std::pair<int64_t, std::string>& p) {
       return std::pair<int64_t, std::string>(p.first, p.second + "y");
     });
@@ -395,26 +360,19 @@ void BM_Chain_Large(benchmark::State& state) {
     mv.Force();
     return mv;
   });
-  state.counters["fusion"] = cfg.fusion.enabled ? 1 : 0;
-  state.counters["static"] = cfg.fusion.static_feeds ? 1 : 0;
 }
 
 // --- Deep narrow chains: 10 composed size-preserving ops ---
 //
-// The deep family is where per-element dispatch cost compounds: every
-// element crosses 10 op boundaries, so with type-erased feeds it pays 10
-// std::function calls, while the static chain folds all 10 into one
+// The deep family is where per-element dispatch cost would compound: every
+// element crosses 10 op boundaries, which the static chain folds into one
 // monomorphic loop body. All ops are size-preserving (map / mapValues), so
 // the whole chain fuses into a single pass with no forced boundary.
 
 void BM_ChainDeep_Small(benchmark::State& state) {
-  engine::ClusterConfig cfg = Config(state.range(0) != 0);
-  ApplyChainArm(&cfg, state.range(1));
-  Cluster cluster(cfg);
+  Cluster cluster(Config(state.range(0) != 0));
   auto bag = engine::Parallelize(&cluster, SmallData(kSmallN), kParts);
-  std::string name =
-      std::string("chain/deep/small/") + ChainArmName(state.range(1));
-  MeasureOp(state, name.c_str(), &cluster, bag, [](const auto& b) {
+  MeasureOp(state, "chain/deep/small", &cluster, bag, [](const auto& b) {
     using P = std::pair<int64_t, int64_t>;
     auto s1 = engine::Map(b, [](const P& p) { return P(p.first, p.second + 1); });
     auto s2 = engine::MapValues(s1, [](int64_t v) { return v * 3; });
@@ -429,18 +387,12 @@ void BM_ChainDeep_Small(benchmark::State& state) {
     s10.Force();
     return s10;
   });
-  state.counters["fusion"] = cfg.fusion.enabled ? 1 : 0;
-  state.counters["static"] = cfg.fusion.static_feeds ? 1 : 0;
 }
 
 void BM_ChainDeep_Large(benchmark::State& state) {
-  engine::ClusterConfig cfg = Config(state.range(0) != 0);
-  ApplyChainArm(&cfg, state.range(1));
-  Cluster cluster(cfg);
+  Cluster cluster(Config(state.range(0) != 0));
   auto bag = engine::Parallelize(&cluster, LargeData(kLargeN), kParts);
-  std::string name =
-      std::string("chain/deep/large/") + ChainArmName(state.range(1));
-  MeasureOp(state, name.c_str(), &cluster, bag, [](const auto& b) {
+  MeasureOp(state, "chain/deep/large", &cluster, bag, [](const auto& b) {
     using P = std::pair<int64_t, std::string>;
     auto s1 = engine::Map(b, [](const P& p) { return P(p.first + 1, p.second); });
     auto s2 = engine::MapValues(s1, [](std::string v) {
@@ -470,36 +422,22 @@ void BM_ChainDeep_Large(benchmark::State& state) {
     s10.Force();
     return s10;
   });
-  state.counters["fusion"] = cfg.fusion.enabled ? 1 : 0;
-  state.counters["static"] = cfg.fusion.static_feeds ? 1 : 0;
 }
 
-// --- Native iteration: the same in-engine loop, knob on vs off ---
+// --- Native iteration: an in-engine loop ---
 //
 // An 8-round countdown loop over 512k elements: each round broadcast-joins
 // the state against a loop-invariant stepping table, decrements, and asks
-// "any element still positive?". Both arms run the identical engine::Iterate
-// loop and produce bit-identical results and simulated metrics
-// (engine_iterate_test locks that); the arms differ only in HOW the
-// convergence check executes:
-//   native0  legacy driver-style check: materialize the Filter of live
-//            elements, then a notEmpty count job — what a hand-written
-//            driver loop pays per round;
-//   native1  fused in-engine check: one counting pass with no materialized
-//            intermediate, plus per-round kIterate spans and the three
-//            iteration counters in the metrics row.
-// The loop-invariant broadcast is resident after round 1 in BOTH arms (the
-// residency registry is knob-independent — satellite of the same change);
-// only the native arm counts the reuses.
+// "any element still positive?" through the fused AnyMatch — one counting
+// pass with no materialized intermediate. The loop-invariant broadcast is
+// resident after round 1; the metrics row carries the three iteration
+// counters.
 
 constexpr int64_t kIterN = kSmallN / 4;  // 512k live elements per round
 constexpr int64_t kIterRounds = 8;
 
 void BM_Iterate_Countdown(benchmark::State& state) {
-  engine::ClusterConfig cfg = Config(state.range(0) != 0);
-  const bool native = state.range(1) != 0;
-  cfg.iteration.native = native;
-  Cluster cluster(cfg);
+  Cluster cluster(Config(state.range(0) != 0));
   using P = std::pair<int64_t, int64_t>;
   std::vector<P> data;
   data.reserve(kIterN);
@@ -511,9 +449,7 @@ void BM_Iterate_Countdown(benchmark::State& state) {
   steps.reserve(kKeys);
   for (int64_t i = 0; i < kKeys; ++i) steps.emplace_back(i, 1);
   auto right = engine::Parallelize(&cluster, std::move(steps), 4);
-  std::string name =
-      std::string("iteration/countdown/native") + (native ? "1" : "0");
-  MeasureOp(state, name.c_str(), &cluster, bag, [&right](const auto& b) {
+  auto countdown = [&right](const auto& b) {
     engine::IterateOptions options;
     options.max_iterations = kIterRounds + 1;
     options.label = "bench-countdown";
@@ -534,8 +470,8 @@ void BM_Iterate_Countdown(benchmark::State& state) {
         options);
     out.Force();
     return out;
-  });
-  state.counters["native"] = native ? 1 : 0;
+  };
+  MeasureOp(state, "iteration/countdown", &cluster, bag, countdown);
   state.counters["native_iterations"] =
       static_cast<double>(cluster.metrics().native_iterations);
   state.counters["convergence_in_engine"] =
@@ -573,20 +509,11 @@ BENCHMARK(BM_ShuffleGroup_Budget)->BUDGET_ARGS;
 // pool x storm grid for the chaos family.
 BENCHMARK(BM_ShuffleGroup_Chaos)->BUDGET_ARGS;
 
-// pool x native grid for the iteration family.
-BENCHMARK(BM_Iterate_Countdown)->BUDGET_ARGS;
-
-// pool x arm grid for the chain families (arm: 0 = fusion off,
-// 1 = fused type-erased feeds, 2 = fused static feeds).
-#define CHAIN_ARGS                                                    \
-  ArgsProduct({{0, 1}, {0, 1, 2}})                                    \
-      ->UseManualTime()                                               \
-      ->Unit(benchmark::kMillisecond)
-
-BENCHMARK(BM_Chain_Small)->CHAIN_ARGS;
-BENCHMARK(BM_Chain_Large)->CHAIN_ARGS;
-BENCHMARK(BM_ChainDeep_Small)->CHAIN_ARGS;
-BENCHMARK(BM_ChainDeep_Large)->CHAIN_ARGS;
+BENCHMARK(BM_Iterate_Countdown)->THROUGHPUT_ARGS;
+BENCHMARK(BM_Chain_Small)->THROUGHPUT_ARGS;
+BENCHMARK(BM_Chain_Large)->THROUGHPUT_ARGS;
+BENCHMARK(BM_ChainDeep_Small)->THROUGHPUT_ARGS;
+BENCHMARK(BM_ChainDeep_Large)->THROUGHPUT_ARGS;
 
 }  // namespace
 }  // namespace matryoshka::bench

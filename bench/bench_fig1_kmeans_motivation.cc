@@ -15,7 +15,6 @@
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_util.h"
-#include "common/stopwatch.h"
 #include "datagen/datagen.h"
 #include "engine/bag.h"
 #include "workloads/kmeans.h"
@@ -80,54 +79,6 @@ void BM_Fig1_Matryoshka(benchmark::State& state) {
   RunVariant(state, Variant::kMatryoshka);
 }
 
-/// Native-iteration A/B on the Matryoshka variant: the same loop with
-/// ClusterConfig::iteration forced on (in-engine loop: convergence checked
-/// inside the engine, loop-invariant broadcasts reused, one driver entry
-/// per LOOP) vs off (legacy driver loop: a driver round-trip with a
-/// count-style convergence job per ITERATION). Simulated time and every
-/// simulated metric are bit-identical across the arms by the engine::Iterate
-/// contract — the manual-time series overlap exactly — so the A/B surfaces
-/// as counters: `real_s` (real wall-clock of the measured region) and the
-/// three iteration counters, nonzero on the native arm and exactly zero on
-/// the driver-loop arm.
-void RunMatryoshkaIterArm(benchmark::State& state, bool native) {
-  const int64_t configs = state.range(0);
-  auto data =
-      datagen::GenerateGroupedPoints(kTotalPoints, configs, 3, kSeed);
-  engine::ClusterConfig cfg = Config();
-  cfg.iteration.native = native;
-  engine::Cluster cluster(cfg);
-  ObsAttach(&cluster,
-            native ? "fig1/matryoshka/native-iter"
-                   : "fig1/matryoshka/driver-loop",
-            {configs});
-  double wall_s = 0.0;
-  for (auto _ : state) {
-    cluster.Reset();
-    auto bag = engine::Parallelize(&cluster, data);
-    Stopwatch sw;
-    auto result =
-        workloads::RunKMeans(&cluster, bag, Params(), Variant::kMatryoshka);
-    wall_s += sw.ElapsedSeconds();
-    Report(state, result);
-  }
-  state.counters["native"] = native ? 1 : 0;
-  state.counters["real_s"] = wall_s;
-  state.counters["native_iterations"] =
-      static_cast<double>(cluster.metrics().native_iterations);
-  state.counters["convergence_in_engine"] =
-      static_cast<double>(cluster.metrics().convergence_checks_in_engine);
-  state.counters["broadcast_reuses"] =
-      static_cast<double>(cluster.metrics().hoisted_broadcast_reuses);
-}
-
-void BM_Fig1_MatryoshkaNativeIter(benchmark::State& state) {
-  RunMatryoshkaIterArm(state, true);
-}
-void BM_Fig1_MatryoshkaDriverLoop(benchmark::State& state) {
-  RunMatryoshkaIterArm(state, false);
-}
-
 /// The ideal line: one configuration over the full input, fully parallel.
 /// Constant by construction; reported once per x to ease plotting.
 void BM_Fig1_Ideal(benchmark::State& state) {
@@ -150,8 +101,6 @@ BENCHMARK(BM_Fig1_Ideal)->FIG1_ARGS;
 BENCHMARK(BM_Fig1_InnerParallel)->FIG1_ARGS;
 BENCHMARK(BM_Fig1_OuterParallel)->FIG1_ARGS;
 BENCHMARK(BM_Fig1_Matryoshka)->FIG1_ARGS;
-BENCHMARK(BM_Fig1_MatryoshkaNativeIter)->FIG1_ARGS;
-BENCHMARK(BM_Fig1_MatryoshkaDriverLoop)->FIG1_ARGS;
 
 }  // namespace
 }  // namespace matryoshka::bench

@@ -15,7 +15,6 @@
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_util.h"
-#include "common/stopwatch.h"
 #include "core/optimizer.h"
 #include "datagen/datagen.h"
 #include "engine/bag.h"
@@ -110,52 +109,6 @@ void BM_Fig8b_HalfLiftedStrategies(benchmark::State& state) {
   state.SetLabel(CrossName(strategy));
 }
 
-/// Native-iteration A/B on the fig8a PageRank loop at the optimizer's join
-/// choice: ClusterConfig::iteration on (one driver entry per loop,
-/// in-engine convergence, loop-invariant init-weight broadcast reused every
-/// iteration) vs off (a driver round-trip per iteration, re-broadcast
-/// resolved by the residency registry either way). Simulated time is
-/// bit-identical across the arms; the A/B lives in the `real_s` wall
-/// counter and the iteration counters (nonzero native, zero driver-loop).
-void BM_Fig8a_IterationArms(benchmark::State& state) {
-  const int64_t groups = state.range(0);
-  const bool native = state.range(1) != 0;
-  constexpr int64_t kTotalEdges = 1 << 18;
-  workloads::PageRankParams params;
-  params.iterations = 10;
-
-  engine::ClusterConfig cfg = PaperCluster();
-  ScaleToTarget(&cfg, 160.0, kTotalEdges,
-                sizeof(std::pair<int64_t, datagen::Edge>));
-  cfg.iteration.native = native;
-  auto data = datagen::GenerateGroupedEdges(
-      kTotalEdges, groups, std::max<int64_t>(16, (1 << 16) / groups), 0.0,
-      kSeed);
-  engine::Cluster cluster(cfg);
-  ObsAttach(&cluster,
-            std::string("fig8a/iteration/") +
-                (native ? "native-iter" : "driver-loop"),
-            {groups});
-  double wall_s = 0.0;
-  for (auto _ : state) {
-    cluster.Reset();
-    auto bag = engine::Parallelize(&cluster, data);
-    Stopwatch sw;
-    auto result = workloads::PageRankMatryoshka(&cluster, bag, params);
-    wall_s += sw.ElapsedSeconds();
-    Report(state, result);
-  }
-  state.SetLabel(native ? "native-iter" : "driver-loop");
-  state.counters["native"] = native ? 1 : 0;
-  state.counters["real_s"] = wall_s;
-  state.counters["native_iterations"] =
-      static_cast<double>(cluster.metrics().native_iterations);
-  state.counters["convergence_in_engine"] =
-      static_cast<double>(cluster.metrics().convergence_checks_in_engine);
-  state.counters["broadcast_reuses"] =
-      static_cast<double>(cluster.metrics().hoisted_broadcast_reuses);
-}
-
 void JoinArgs(benchmark::internal::Benchmark* b) {
   for (int64_t groups : {4, 16, 64, 256, 1024, 4096}) {
     for (int64_t s :
@@ -180,15 +133,7 @@ void CrossArgs(benchmark::internal::Benchmark* b) {
   b->UseManualTime()->Unit(benchmark::kSecond)->Iterations(1);
 }
 
-void IterationArgs(benchmark::internal::Benchmark* b) {
-  for (int64_t groups : {4, 64, 1024}) {
-    for (int64_t native : {0, 1}) b->Args({groups, native});
-  }
-  b->UseManualTime()->Unit(benchmark::kSecond)->Iterations(1);
-}
-
 BENCHMARK(BM_Fig8a_JoinStrategies)->Apply(JoinArgs);
-BENCHMARK(BM_Fig8a_IterationArms)->Apply(IterationArgs);
 BENCHMARK(BM_Fig8b_HalfLiftedStrategies)->Apply(CrossArgs);
 
 }  // namespace

@@ -305,9 +305,8 @@ class ObsSession {
       os << ", \"checksum_failures\": " << m.checksum_failures;
       os << ", \"inmemory_fallbacks\": " << m.inmemory_fallbacks;
       // Additive extension (native iteration): real-execution counters of
-      // in-engine loops. All exactly zero with ClusterConfig::iteration
-      // native off — the simulated metrics above are bit-identical across
-      // the two iteration arms.
+      // in-engine loops (engine::Iterate); no simulated charge depends on
+      // them.
       os << ", \"native_iterations\": " << m.native_iterations;
       os << ", \"hoisted_broadcast_reuses\": " << m.hoisted_broadcast_reuses;
       os << ", \"convergence_checks_in_engine\": "

@@ -36,11 +36,10 @@ namespace internal {
 /// is charged one job per iteration — independent of the number of inner
 /// computations, which is the core of Matryoshka's advantage over the
 /// inner-parallel workaround. The loop itself runs through engine::Iterate:
-/// with native iteration on the check is answered in-engine by a fused
-/// FilterMapCount (no driver-side Count round-trip, no materialized
-/// continuing-tag intermediate); with it off the execution is byte-identical
-/// to the pre-iteration hand-written driver loop. Both arms charge the same
-/// simulated costs.
+/// the check is answered in-engine by a fused FilterMapCount (no
+/// driver-side Count round-trip, no materialized continuing-tag
+/// intermediate) that charges exactly what the Filter + Map + Count it
+/// replaces would.
 template <typename X, typename Body>
 std::pair<LiftingContext, engine::Bag<std::pair<Tag, X>>> LiftedWhileRepr(
     LiftingContext ctx, engine::Bag<std::pair<Tag, X>> body_in, Body body,

@@ -31,16 +31,15 @@ namespace matryoshka::engine {
 /// synthetic cardinality equals the real one. All time/network/memory
 /// charges multiply element counts and byte estimates by the bag's scale.
 ///
-/// With fusion on (ClusterConfig::fusion, the default) a Bag may instead
-/// hold a *pending pipeline*: a shared handle to an upstream materialized
-/// bag plus the composed per-element transform chain of every narrow
-/// operator applied since. Narrow ops on a pending bag compose instead of
-/// executing; `Force()` (called by every wide operator, every action,
-/// Checkpoint, and automatically by `partitions()`) materializes the chain
-/// in one fused pass per partition. Pending bags carry tracked per-partition
-/// cardinalities so the cost model can be charged at composition time
-/// without materializing — bit-identical to the eager path (see DESIGN.md,
-/// "Fusion contract").
+/// A Bag may instead hold a *pending pipeline*: a shared handle to an
+/// upstream materialized bag plus the composed per-element transform chain
+/// of every narrow operator applied since. Narrow ops on a pending bag
+/// compose instead of executing; `Force()` (called by every wide operator,
+/// every action, Checkpoint, and automatically by `partitions()`)
+/// materializes the chain in one fused pass per partition. Pending bags
+/// carry tracked per-partition cardinalities so the cost model can be
+/// charged at composition time without materializing (see DESIGN.md, "The
+/// fusion contract").
 template <typename T>
 class Bag {
  public:
@@ -48,14 +47,14 @@ class Bag {
   using Partitions = std::vector<std::vector<T>>;
   /// Consumes one element of a pending chain's per-partition output stream.
   using Sink = std::function<void(T&&)>;
-  /// Streams partition `p` of a pending chain into `emit`, applying every
-  /// composed narrow transform on the fly (built by ops.h / extra_ops.h).
+  /// Streams partition `p` of a pending chain into `emit`. The one erased
+  /// hop of the fused pipeline: a narrow op applied to a plain `Bag<T>`
+  /// handle whose concrete chain type was sliced away roots its new chain
+  /// here (fused_feed.h SourceFeed), paying one indirect call per element.
   using Feed = std::function<void(std::size_t p, const Sink& emit)>;
-  /// Optional fast-path twin of `Feed` used by Force(): materializes
-  /// partition `p` of the chain directly into `dst`. Set when the chain has
-  /// a static (expression-template) representation — see fused_feed.h —
-  /// whose whole pipeline runs as one monomorphic loop behind this single
-  /// erased call per partition (instead of one erased call per element).
+  /// Materializes partition `p` of a pending chain directly into `dst`:
+  /// the statically typed chain (fused_feed.h) runs as one monomorphic loop
+  /// behind this single erased call per partition. Force() drives it.
   using Run = std::function<void(std::size_t p, std::vector<T>& dst)>;
 
   /// An empty bag with zero partitions (the result of operators that ran
@@ -71,19 +70,19 @@ class Bag {
         key_partitions_(key_partitions),
         lineage_depth_(lineage_depth) {}
 
-  /// A deferred bag: `feed` streams each output partition by pulling from a
-  /// captured upstream source and applying the composed transform chain.
-  /// `counts` tracks the per-partition output cardinality — exact when
-  /// `counts_exact` (size-preserving chain), an upper bound when only
+  /// A deferred bag: `run` materializes each output partition by pulling
+  /// from a captured upstream source through the composed transform chain,
+  /// and `feed` streams the same elements to a downstream chain rooted at
+  /// this bag. `counts` tracks the per-partition output cardinality — exact
+  /// when `counts_exact` (size-preserving chain), an upper bound when only
   /// `counts_bounded` (filter-terminated chain), partition count only
-  /// otherwise. `chain_ops` is the number of composed narrow ops (the fusion
-  /// depth knob compares against it). Built by ops.h / extra_ops.h; the cost
-  /// model was already charged by the composing operator.
-  static Bag<T> Deferred(Cluster* cluster, Feed feed,
+  /// otherwise. `chain_ops` is the number of composed narrow ops (the
+  /// fusion depth cap compares against it). Built by ops.h; the cost model
+  /// was already charged by the composing operator.
+  static Bag<T> Deferred(Cluster* cluster, Feed feed, Run run,
                          std::vector<std::size_t> counts, bool counts_exact,
                          bool counts_bounded, int chain_ops, double scale,
-                         int64_t key_partitions, int lineage_depth,
-                         Run run = nullptr) {
+                         int64_t key_partitions, int lineage_depth) {
     Bag<T> out(cluster);
     out.parts_.reset();
     auto pending = std::make_shared<PendingState>();
@@ -126,8 +125,7 @@ class Bag {
   /// True when this handle is still pending but a sibling handle already
   /// forced the shared chain state: the memoized result exists and Force()
   /// on this handle is a free pointer flip. Composing consumers check this
-  /// to reuse the shared materialization instead of copying the pending
-  /// `std::function` chain.
+  /// to reuse the shared materialization instead of re-running the chain.
   bool pending_materialized() const {
     return pending_ != nullptr && pending_->materialized != nullptr;
   }
@@ -156,13 +154,7 @@ class Bag {
       internal::GuardedParallelFor(cluster_, out->size(), [&](std::size_t i) {
         std::vector<T>& dst = (*out)[i];
         if (chain.bounded) dst.reserve(chain.counts[i]);
-        if (chain.run != nullptr) {
-          // Static chain: the whole fused pipeline runs as one monomorphic
-          // loop pushing straight into dst (fused_feed.h).
-          chain.run(i, dst);
-        } else {
-          chain.feed(i, [&dst](T&& x) { dst.push_back(std::move(x)); });
-        }
+        chain.run(i, dst);
       });
       pending_->materialized = std::move(out);
     }
@@ -261,7 +253,6 @@ class Bag {
   /// handles so a single Force materializes for all of them.
   struct PendingState {
     Feed feed;
-    /// Fast-path twin of `feed` for static chains (see `Run`); may be null.
     Run run;
     /// Tracked per-partition output cardinalities (see Deferred).
     std::vector<std::size_t> counts;

@@ -1,6 +1,7 @@
 #include "engine/cluster.h"
 
 #include <algorithm>
+#include <cerrno>
 #include <cmath>
 #include <cstdlib>
 #include <queue>
@@ -29,6 +30,26 @@ double UnitDraw(uint64_t seed, uint64_t stage, uint64_t task, uint64_t attempt,
   return static_cast<double>(z >> 11) * (1.0 / 9007199254740992.0);
 }
 
+/// Strict parse of a MATRYOSHKA_REAL_BUDGET override: a plain decimal byte
+/// count. Anything else — empty, a unit suffix ("4MB"), a sign, hex, or a
+/// value past 2^64-1 — CHECK-fails naming the variable and value, so a
+/// typo cannot silently leave the budget unbounded (0) or absurdly small.
+std::size_t ParseBudgetEnv(const char* value) {
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long bytes = std::strtoull(value, &end, 10);
+  // A leading digit rules out "", signs and whitespace (all of which
+  // strtoull would accept or turn into 0); the full-consumption check rules
+  // out suffixes and hex.
+  const bool valid = value[0] >= '0' && value[0] <= '9' && *end == '\0' &&
+                     errno != ERANGE;
+  MATRYOSHKA_CHECK(valid)
+      << "MATRYOSHKA_REAL_BUDGET=\"" << value
+      << "\" is not a plain decimal byte count (e.g. 4194304); unset it to "
+         "use the configured budget.";
+  return static_cast<std::size_t>(bytes);
+}
+
 /// Resolves the real scratch budget: an explicit nonzero config value wins;
 /// otherwise MATRYOSHKA_REAL_BUDGET (bytes) can force a process-wide budget
 /// so scripts/check.sh spill runs entire suites through the external paths.
@@ -36,8 +57,7 @@ double UnitDraw(uint64_t seed, uint64_t stage, uint64_t task, uint64_t attempt,
 std::size_t ResolveRealBudget(ClusterConfig* config) {
   if (config->real_memory_budget_bytes == 0) {
     if (const char* env = std::getenv("MATRYOSHKA_REAL_BUDGET")) {
-      config->real_memory_budget_bytes =
-          static_cast<std::size_t>(std::strtoull(env, nullptr, 10));
+      config->real_memory_budget_bytes = ParseBudgetEnv(env);
     }
   }
   return config->real_memory_budget_bytes;
@@ -56,44 +76,12 @@ void ResolveRealFaults(ClusterConfig* config) {
   }
 }
 
-/// Strict parse for binary ("0"/"1") environment overrides. Anything else —
-/// empty string, "true", "2", trailing junk — CHECK-fails with the offending
-/// value instead of silently picking a fallback, so a typo'd A/B sweep in
-/// scripts/check.sh cannot quietly run both arms in the same mode.
-bool ParseBinaryEnv(const char* name, const char* value) {
-  if (value[0] != '\0' && value[1] == '\0') {
-    if (value[0] == '0') return false;
-    if (value[0] == '1') return true;
-  }
-  MATRYOSHKA_CHECK(false)
-      << name << "=\"" << value
-      << "\" is not a valid binary override: set it to exactly \"0\" or "
-         "\"1\" (or unset it to use the configured default).";
-  return false;
-}
-
 }  // namespace
 
 Cluster::Cluster(ClusterConfig config)
     : config_(config), real_budget_(ResolveRealBudget(&config_)) {
   MATRYOSHKA_CHECK(config_.num_machines >= 1);
   MATRYOSHKA_CHECK(config_.cores_per_machine >= 1);
-  // Process-wide A/B switches for the fusion layer: let scripts/check.sh
-  // fusion re-run whole suites with the fused path (and its static-feed
-  // representation) forced on and off without recompiling or threading a
-  // flag through every test.
-  if (const char* env = std::getenv("MATRYOSHKA_FUSION")) {
-    config_.fusion.enabled = ParseBinaryEnv("MATRYOSHKA_FUSION", env);
-  }
-  if (const char* env = std::getenv("MATRYOSHKA_STATIC_FEEDS")) {
-    config_.fusion.static_feeds =
-        ParseBinaryEnv("MATRYOSHKA_STATIC_FEEDS", env);
-  }
-  // Same A/B switch for native iteration: scripts/check.sh iterate forces
-  // the driver-loop and native arms across whole suites.
-  if (const char* env = std::getenv("MATRYOSHKA_NATIVE_ITER")) {
-    config_.iteration.native = ParseBinaryEnv("MATRYOSHKA_NATIVE_ITER", env);
-  }
   // default_parallelism <= 0 means "auto": the paper's 3x total cores,
   // resolved here so it tracks whatever cluster shape was configured.
   if (config_.default_parallelism <= 0) {
@@ -656,7 +644,7 @@ void Cluster::NoteRealSpill(const external::SpillStats& stats,
 }
 
 void Cluster::NoteNativeIteration(const char* label, int64_t iteration) {
-  if (!config_.iteration.native || !ok()) return;
+  if (!ok()) return;
   metrics_.native_iterations += 1;
   if (trace_ != nullptr) {
     // Zero-width span: native iteration restructures real execution, never
@@ -671,7 +659,7 @@ void Cluster::NoteNativeIteration(const char* label, int64_t iteration) {
 }
 
 void Cluster::NoteConvergenceCheckInEngine() {
-  if (!config_.iteration.native || !ok()) return;
+  if (!ok()) return;
   metrics_.convergence_checks_in_engine += 1;
 }
 
@@ -682,7 +670,7 @@ void Cluster::NoteBroadcastResident(std::shared_ptr<const void> payload) {
 }
 
 void Cluster::NoteHoistedBroadcastReuse() {
-  if (!config_.iteration.native || !ok()) return;
+  if (!ok()) return;
   metrics_.hoisted_broadcast_reuses += 1;
 }
 

@@ -116,54 +116,23 @@ struct RecoveryPolicy {
   }
 };
 
-/// Narrow-operator fusion (deferred execution). With fusion on, narrow
-/// operators (Map, Filter, FlatMap, MapValues, FlatMapValues,
-/// ZipWithUniqueId, Sample) do not execute immediately: they compose onto a
-/// pending per-element pipeline that the next forcing point (any wide
-/// operator, any action, Checkpoint, or Bag::Force) runs as ONE fused pass
-/// per partition. The simulated cost model is charged identically at
-/// composition time, so data results, Metrics, and exported traces are
-/// bit-identical with the knob on or off; only real wall-clock changes.
-/// See DESIGN.md, "Fusion contract".
+/// Narrow-operator fusion (deferred execution). Narrow operators (Map,
+/// Filter, FlatMap, MapValues, FlatMapValues, ZipWithUniqueId, Sample) do
+/// not execute immediately: they compose onto a pending per-element
+/// pipeline that the next forcing point (any wide operator, any action,
+/// Checkpoint, or Bag::Force) runs as ONE fused pass per partition. The
+/// simulated cost model is charged at composition time, so data results,
+/// Metrics, and exported traces do not depend on where a chain is cut. See
+/// DESIGN.md, "The fusion contract".
 struct FusionConfig {
-  /// Master switch; off takes the eager per-op execution path,
-  /// byte-identical to the pre-fusion engine. The MATRYOSHKA_FUSION
-  /// environment variable ("0"/"1"), when set, overrides this at Cluster
-  /// construction — scripts/check.sh fusion uses it to A/B entire test
-  /// suites without recompiling.
-  bool enabled = true;
   /// Maximum narrow ops composed into one pending chain before a forced
-  /// materialization boundary. Bounds the per-element closure nesting depth
-  /// (each composed op adds one indirect call per element).
+  /// materialization boundary. Bounds the erased hops a loop that keeps
+  /// re-assigning a plain Bag (`bag = Map(bag, f)`) piles up: each such
+  /// assignment hides the concrete chain type, so the next op re-roots at
+  /// the erased feed (one `std::function` call per element per hop). At 1
+  /// every narrow op runs as its own pass — the per-op reference the
+  /// determinism tests compare default chains against.
   int max_chain_depth = 16;
-  /// Feed representation of the pending chain. On (the default), composing
-  /// narrow ops builds a statically-typed expression-template chain
-  /// (fused_feed.h) whose forced materialization is one monomorphic loop
-  /// per partition; off retains the type-erased per-element `std::function`
-  /// composition for A/B. Results, Metrics, and traces are bit-identical
-  /// either way; only real wall-clock changes. The MATRYOSHKA_STATIC_FEEDS
-  /// environment variable ("0"/"1"), when set, overrides this at Cluster
-  /// construction. Ignored while `enabled` is false.
-  bool static_feeds = true;
-};
-
-/// Native iteration (engine::Iterate, iterate.h). With the knob on, driver
-/// loops ported onto Iterate run their convergence predicate *inside* the
-/// engine (one fused pass instead of materializing the filtered/mapped
-/// intermediates of the driver-side `Count`/`NotEmpty` round trip), reuse
-/// loop-invariant broadcasts that are already resident on the machines, and
-/// record per-iteration kIterate trace spans. The simulated cost model is
-/// charged identically on both arms — Metrics under the cost model and data
-/// results are bit-identical with the knob on or off; only real wall-clock,
-/// the native_* counters, and the (zero-width) kIterate spans change. Off is
-/// byte-identical to the pre-iteration driver loops. See DESIGN.md, "The
-/// native iteration contract".
-struct IterationConfig {
-  /// Master switch. The MATRYOSHKA_NATIVE_ITER environment variable
-  /// ("0"/"1"), when set, overrides this at Cluster construction —
-  /// scripts/check.sh iterate uses it to A/B entire suites without
-  /// recompiling.
-  bool native = true;
 };
 
 /// Static description of the (simulated) cluster a program runs on, plus the
@@ -224,10 +193,11 @@ struct ClusterConfig {
   /// DESIGN.md); only real wall-clock and the real_* spill counters change.
   /// Unlike every knob above, this one is NOT simulated: it bounds actual
   /// engine memory so benches can run inputs larger than the scratch budget.
-  /// The MATRYOSHKA_REAL_BUDGET environment variable (bytes), when set,
-  /// overrides a zero (unbounded) config at Cluster construction —
-  /// scripts/check.sh spill uses it to force whole test suites through the
-  /// external paths; an explicit nonzero config value always wins.
+  /// The MATRYOSHKA_REAL_BUDGET environment variable (a plain decimal byte
+  /// count; anything else CHECK-fails), when set, overrides a zero
+  /// (unbounded) config at Cluster construction — scripts/check.sh spill
+  /// uses it to force whole test suites through the external paths; an
+  /// explicit nonzero config value always wins.
   std::size_t real_memory_budget_bytes = 0;
 
   /// Deterministic REAL-fault injection into the external subsystem's
@@ -286,13 +256,8 @@ struct ClusterConfig {
   /// Driver-side recovery; the default policy changes nothing.
   RecoveryPolicy recovery;
 
-  /// Narrow-operator fusion; on by default (off = the eager pre-fusion
-  /// execution path, byte-identical results either way).
+  /// Narrow-operator fusion (the chain-depth cap).
   FusionConfig fusion;
-
-  /// Native iteration; on by default (off = the driver-loop execution path,
-  /// bit-identical simulated Metrics and results either way).
-  IterationConfig iteration;
 
   int total_cores() const { return num_machines * cores_per_machine; }
   /// Memory budget of one task slot (machine memory divided across the
@@ -386,19 +351,13 @@ struct Metrics {
   /// Bounded ops that re-ran / drained in memory because the disk became
   /// unusable (graceful degradation; the output stays bit-identical).
   int64_t inmemory_fallbacks = 0;
-  /// --- Native iteration (all zero with ClusterConfig::iteration.native
-  /// off; like the real_* counters above these describe how the engine
-  /// *really* executed, never the simulated cost model, so they are
-  /// EXCLUDED from the simulated Metrics identity: they legitimately differ
-  /// between the native and driver-loop arms, which are otherwise
-  /// bit-identical). ---
-  /// Iterations executed by engine::Iterate on the native arm.
+  /// --- Native iteration (engine::Iterate; like the real_* counters above
+  /// these describe how the engine *really* executed a loop, never the
+  /// simulated cost model: no simulated charge depends on them). ---
+  /// Iterations executed by engine::Iterate.
   int64_t native_iterations = 0;
   /// Broadcasts skipped because the payload was already resident on every
-  /// machine (loop-invariant build sides re-broadcast by a driver loop).
-  /// NOTE: the residency *skip* itself is knob-independent — both arms stop
-  /// re-paying resident broadcasts, keeping them bit-identical — only the
-  /// counter is gated on the knob.
+  /// machine (loop-invariant build sides re-broadcast by a loop body).
   int64_t hoisted_broadcast_reuses = 0;
   /// Convergence predicates evaluated inside the engine (fused
   /// filter+count / filter+notEmpty passes) instead of via materialized
@@ -563,22 +522,19 @@ class Cluster {
   /// Records one native loop iteration: counts native_iterations and, with a
   /// trace sink attached, records a zero-width kIterate driver span at the
   /// current simulated time (native iteration never advances the simulated
-  /// clock — the spans only delimit the loop structure). No-op with the
-  /// iteration knob off, so the driver-loop arm's traces stay byte-identical
-  /// to the pre-iteration engine.
+  /// clock — the spans only delimit the loop structure).
   void NoteNativeIteration(const char* label, int64_t iteration);
 
   /// Counts one convergence predicate evaluated inside the engine (a fused
-  /// filter+count / filter+notEmpty pass). Called by the native arm of the
-  /// iterate.h convergence primitives only; never by the driver-loop arm.
+  /// filter+count / filter+notEmpty pass; the iterate.h convergence
+  /// primitives call it).
   void NoteConvergenceCheckInEngine();
 
   /// True when `payload` (a broadcast build side, identified by its shared
   /// partition storage) is already resident on every machine: an earlier
   /// broadcast of the same storage succeeded since the last Reset. Resident
   /// payloads need no new collect/redistribution — broadcast sites skip the
-  /// transfer charge and the bytes accounting (both knob arms; see the
-  /// hoisted_broadcast_reuses Metrics comment) but keep their per-task
+  /// transfer charge and the bytes accounting but keep their per-task
   /// probe-build costs.
   bool BroadcastResident(const void* payload) const {
     return resident_broadcast_keys_.count(payload) != 0;
@@ -591,8 +547,6 @@ class Cluster {
   void NoteBroadcastResident(std::shared_ptr<const void> payload);
 
   /// Counts one resident-broadcast reuse into hoisted_broadcast_reuses.
-  /// Gated on the iteration knob so the counter is exactly zero with native
-  /// iteration off, while the charge skip itself stays knob-independent.
   void NoteHoistedBroadcastReuse();
 
   /// Seconds of single-core compute for `n` real elements at weight `w`.

@@ -19,66 +19,31 @@
 /// generalized keyed aggregation, and a top-k action.
 namespace matryoshka::engine {
 
+namespace internal {
+
+/// Keep threshold of a Bernoulli sample: an element is kept when its 64-bit
+/// draw is at most this.
+inline uint64_t SampleThreshold(double fraction) {
+  return static_cast<uint64_t>(
+      fraction >= 1.0 ? ~uint64_t{0}
+                      : fraction * static_cast<double>(~uint64_t{0}));
+}
+
+}  // namespace internal
+
 /// Bernoulli sample: keeps each element independently with probability
 /// `fraction`, deterministically derived from (seed, element hash, position)
 /// so re-evaluation is stable. Narrow; preserves scale (a real engine's
-/// sample of the real data keeps fraction * real elements).
+/// sample of the real data keeps fraction * real elements). Only
+/// size-preserving chains reach it unforced, so each element's stream
+/// position — and with it the keep/drop draw — equals its materialized one.
 template <typename T>
 auto Sample(const Bag<T>& bag, double fraction, uint64_t seed) {
   using ChainT = internal::SampleFeed<internal::SourceFeed<T>>;
-  Cluster* c = bag.cluster();
-  if (!c->ok()) return internal::FusedBag<ChainT>(Bag<T>(c), nullptr);
-  const auto threshold = static_cast<uint64_t>(
-      fraction >= 1.0 ? ~uint64_t{0}
-                      : fraction * static_cast<double>(~uint64_t{0}));
-  if (internal::ComposeReady(bag)) {
-    internal::ChargeScanStage(bag, 0.25, "sample");
-    const int chain = internal::NextChainOps(bag);
-    // The position counter advances per streamed element; ComposeReady only
-    // composes on size-preserving chains, so positions — and therefore the
-    // deterministic keep/drop draws — match the eager path exactly.
-    auto repr = internal::MakeDeferredRepr<ChainT>(
-        c,
-        [&] {
-          return ChainT{internal::MakeSourceFeed(bag), seed, threshold};
-        },
-        [&] {
-          return internal::ComposeFeed<T>(
-              bag, [seed, threshold](std::size_t i,
-                                     const typename Bag<T>::Sink& emit) {
-                return [seed, threshold, pos = i * 0x9e3779b97f4a7c15ULL,
-                        &emit](auto&& x) mutable {
-                  pos += 0x2545f4914f6cdd1dULL;
-                  if (Mix64(seed ^ pos ^ Hasher{}(x)) <= threshold) {
-                    emit(T(std::forward<decltype(x)>(x)));
-                  }
-                };
-              });
-        });
-    return internal::FusedBag<ChainT>(
-        internal::MaybeAutoCheckpoint(Bag<T>::Deferred(
-            c, std::move(repr.feed), bag.PartitionSizes(),
-            /*counts_exact=*/false, /*counts_bounded=*/true, chain,
-            bag.scale(), bag.key_partitions(), bag.lineage_depth() + 1,
-            std::move(repr.run))),
-        std::move(repr.chain));
-  }
-  internal::ChargeScanStage(bag, 0.25, "sample");
-  const auto& parts = bag.partitions();
-  typename Bag<T>::Partitions out(parts.size());
-  internal::GuardedParallelFor(c, parts.size(), [&](std::size_t i) {
-    uint64_t pos = i * 0x9e3779b97f4a7c15ULL;
-    for (const auto& x : parts[i]) {
-      pos += 0x2545f4914f6cdd1dULL;
-      const uint64_t r = Mix64(seed ^ pos ^ Hasher{}(x));
-      if (r <= threshold) out[i].push_back(x);
-    }
+  return internal::Compose<ChainT>(bag, 0.25, internal::kSampleShape, [&] {
+    return ChainT{internal::MakeSourceFeed(bag), seed,
+                  internal::SampleThreshold(fraction)};
   });
-  return internal::FusedBag<ChainT>(
-      internal::MaybeAutoCheckpoint(
-          Bag<T>(c, std::move(out), bag.scale(), bag.key_partitions(),
-                 bag.lineage_depth() + 1)),
-      nullptr);
 }
 
 /// Sample over a FusedBag: extends the concrete chain without erasure (see
@@ -86,30 +51,16 @@ auto Sample(const Bag<T>& bag, double fraction, uint64_t seed) {
 template <typename Chain>
 auto Sample(const internal::FusedBag<Chain>& bag, double fraction,
             uint64_t seed) {
-  using T = typename Chain::Out;
   using ExtT = internal::SampleFeed<Chain>;
-  Cluster* c = bag.cluster();
-  if (!c->ok()) return internal::FusedBag<ExtT>(Bag<T>(c), nullptr);
-  const auto threshold = static_cast<uint64_t>(
-      fraction >= 1.0 ? ~uint64_t{0}
-                      : fraction * static_cast<double>(~uint64_t{0}));
-  if (internal::ComposeReady(bag) && internal::ExtendReady(bag)) {
-    internal::ChargeScanStage(bag, 0.25, "sample");
-    const int chain = internal::NextChainOps(bag);
-    auto st =
-        std::make_shared<const ExtT>(ExtT{*bag.chain(), seed, threshold});
-    typename Bag<T>::Feed feed;
-    typename Bag<T>::Run run;
-    internal::EraseChain(st, &feed, &run);
+  if (!internal::Extendable(bag)) {
     return internal::FusedBag<ExtT>(
-        internal::MaybeAutoCheckpoint(Bag<T>::Deferred(
-            c, std::move(feed), bag.PartitionSizes(), /*counts_exact=*/false,
-            /*counts_bounded=*/true, chain, bag.scale(),
-            bag.key_partitions(), bag.lineage_depth() + 1, std::move(run))),
-        std::move(st));
+        Sample(static_cast<const Bag<typename Chain::Out>&>(bag), fraction,
+               seed),
+        nullptr);
   }
-  return internal::FusedBag<ExtT>(
-      Sample(static_cast<const Bag<T>&>(bag), fraction, seed), nullptr);
+  return internal::Compose<ExtT>(bag, 0.25, internal::kSampleShape, [&] {
+    return ExtT{*bag.chain(), seed, internal::SampleThreshold(fraction)};
+  });
 }
 
 /// Multiset difference with set semantics on the right (Spark's subtract):

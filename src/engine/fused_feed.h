@@ -14,27 +14,19 @@
 
 /// Static (expression-template) representation of a pending fused chain.
 ///
-/// The type-erased representation in bag.h (`Bag<T>::Feed`) pays one
-/// `std::function` indirect call per element per composed op. The feed
-/// structs here instead nest by *type*: composing Map/Filter/FlatMap/
-/// MapValues/FlatMapValues/Sample/ZipWithUniqueId builds a concrete
-/// `MapFeed<F, FilterFeed<P, SourceFeed<T>>>`-style value whose `Drive`
-/// is one monomorphic loop the compiler can fully inline — no virtual or
-/// indirect calls in the hot path.
+/// Composing Map/Filter/FlatMap/MapValues/FlatMapValues/Sample/
+/// ZipWithUniqueId builds a concrete `MapFeed<F, FilterFeed<P,
+/// SourceFeed<T>>>`-style value whose `Drive` is one monomorphic loop the
+/// compiler can fully inline — no virtual or indirect calls in the hot path.
 ///
 /// Type erasure happens exactly once, at the chain boundary: every chain is
-/// also wrapped into the ordinary erased `Feed` (for consumers that only see
-/// `Bag<T>`) and into a `Run` closure that `Force()` calls per partition, so
-/// `Bag<T>`'s public surface and `PendingState` stay non-templated on the
-/// chain. The typed chain itself travels on the side in a `FusedBag<Chain>`
-/// subclass handle; slicing a `FusedBag` back to `Bag<T>` (crossing an
-/// opaque API boundary) degrades gracefully to one erased hop, never to a
-/// wrong answer.
-///
-/// Every feed replicates its erased twin's per-element semantics exactly
-/// (construction order, position counters, hash draws), which is what keeps
-/// the two representations bit-identical — see DESIGN.md, "The fusion
-/// contract: feed representations".
+/// wrapped into a `Run` closure that `Force()` calls per partition and into
+/// the erased `Feed` a downstream chain roots at when it only sees a
+/// `Bag<T>`, so `Bag<T>`'s public surface and `PendingState` stay
+/// non-templated on the chain. The typed chain itself travels on the side
+/// in a `FusedBag<Chain>` subclass handle; slicing a `FusedBag` back to
+/// `Bag<T>` (crossing an opaque API boundary) costs one erased hop, never a
+/// wrong answer. See DESIGN.md, "The fusion contract".
 namespace matryoshka::engine::internal {
 
 /// Chain root: streams the upstream bag's elements. Holds EITHER the
@@ -76,9 +68,9 @@ struct MapFeed {
   }
 };
 
-/// Filter: keeps elements passing pred. Like the erased sink, materializes
-/// the kept element (copying from a materialized upstream, moving a chain
-/// temporary) so downstream stages always see an owned value.
+/// Filter: keeps elements passing pred. Materializes the kept element
+/// (copying from a materialized upstream, moving a chain temporary) so
+/// downstream stages always see an owned value.
 template <typename P, typename Up>
 struct FilterFeed {
   using Out = typename Up::Out;
@@ -154,9 +146,9 @@ struct FlatMapValuesFeed {
   }
 };
 
-/// ZipWithUniqueId: ids from the stream offset, exactly as the erased sink
-/// assigns them (legal because chains are size-preserving when this
-/// composes — ComposeReady forces otherwise).
+/// ZipWithUniqueId: ids from the stream offset, which equals the
+/// materialized offset because only size-preserving chains reach this op
+/// unforced (ForceBoundary in ops.h forces the others).
 template <typename Up>
 struct ZipUniqueIdFeed {
   using Out = std::pair<uint64_t, typename Up::Out>;
@@ -173,8 +165,9 @@ struct ZipUniqueIdFeed {
   }
 };
 
-/// Bernoulli sample: the same (seed, position, element-hash) draw as the
-/// erased sink, with the position counter kept per Drive call.
+/// Bernoulli sample: a (seed, position, element-hash) draw, with the
+/// position counter kept per Drive call (the stream position equals the
+/// materialized offset, as for ZipUniqueIdFeed).
 template <typename Up>
 struct SampleFeed {
   using Out = typename Up::Out;
@@ -198,8 +191,8 @@ struct SampleFeed {
 /// Roots a fresh chain at `bag`: at the materialized partitions when the
 /// bag is (or can freely become) materialized, at its erased pending feed
 /// otherwise. When a sibling handle already forced the shared chain state,
-/// flip this handle to the memoized partitions instead of copying the
-/// pending `std::function` chain (see also ComposeFeed in ops.h).
+/// flip this handle to the memoized partitions instead of re-running the
+/// pending chain through its feed.
 template <typename T>
 SourceFeed<T> MakeSourceFeed(const Bag<T>& bag) {
   SourceFeed<T> src;
@@ -215,8 +208,7 @@ SourceFeed<T> MakeSourceFeed(const Bag<T>& bag) {
 /// The single type-erasure boundary: wraps one shared concrete chain into
 /// the erased `Feed` (for `Bag<T>`-only consumers composing downstream) and
 /// the `Run` closure `Force()` drives — the latter pushes straight into the
-/// output vector, so a force of a static chain costs zero per-element
-/// indirect calls.
+/// output vector, so a force costs zero per-element indirect calls.
 template <typename Chain>
 void EraseChain(const std::shared_ptr<const Chain>& chain,
                 typename Bag<typename Chain::Out>::Feed* feed,
@@ -236,10 +228,12 @@ void EraseChain(const std::shared_ptr<const Chain>& chain,
 
 /// A Bag handle that additionally carries its pending chain's concrete
 /// type, letting the next narrow op extend the chain without erasure. The
-/// chain pointer is null when the bag was composed dynamically (knob off,
-/// eager path, or re-rooted after a forced boundary); everything still
-/// works through the erased base state then. Slicing to `Bag<T>` is always
-/// safe: the base carries the erased feed and the Force run path.
+/// chain pointer is null when the op could not extend `Chain` and re-rooted
+/// instead (its pending chain then starts at the re-rooted input, so it is
+/// not a `Chain`), after a plain Bag was assigned, or when the cluster had
+/// failed; everything still works through the erased base state then.
+/// Slicing to `Bag<T>` is always safe: the base carries the erased feed and
+/// the Force run path.
 template <typename Chain>
 class FusedBag : public Bag<typename Chain::Out> {
  public:
@@ -266,12 +260,6 @@ class FusedBag : public Bag<typename Chain::Out> {
  private:
   std::shared_ptr<const Chain> chain_;
 };
-
-/// True when narrow ops should build static chains (the fusion knob itself
-/// is checked by ComposeReady).
-inline bool StaticFeedsOn(const Cluster* c) {
-  return c->config().fusion.static_feeds;
-}
 
 }  // namespace matryoshka::engine::internal
 

@@ -13,8 +13,7 @@
 #include "engine/recovery.h"
 
 /// Native iteration: the engine-level loop construct that compiles driver
-/// loops into the dataflow (ROADMAP "Native iteration"; cf. Labyrinth /
-/// Flare in PAPERS.md).
+/// loops into the dataflow (cf. Labyrinth / Flare in PAPERS.md).
 ///
 /// A classic driver loop pays three per-iteration taxes: a driver action
 /// round-trip to evaluate the convergence predicate, the materialization of
@@ -27,20 +26,16 @@
 /// iteration is delimited by a zero-width `kIterate` trace span.
 ///
 /// The native iteration contract (see DESIGN.md):
-///  - The knob (`ClusterConfig::iteration.native`, `MATRYOSHKA_NATIVE_ITER`)
-///    selects *how* the loop executes, never *what it charges*: the native
-///    arm replays the exact simulated charge sequence of the driver-loop arm
-///    — scan stages, auto-checkpoint probes, `BeginJob("count")` /
-///    `BeginJob("notEmpty")` — so outputs, key_partitions, and the full
-///    Metrics are bit-identical across arms for any pool size, fusion arm,
-///    and fault regime. The wins are real-execution wins.
-///  - With the knob OFF, this header lowers to literally the legacy op
-///    sequence and records nothing: byte-identical to the pre-iteration
-///    driver loops, including traces.
+///  - The convergence helpers change *how* the check executes, never *what
+///    it charges*: each replays the exact simulated charge sequence of the
+///    op sequence it replaces — scan stages, auto-checkpoint probes,
+///    `BeginJob("count")` / `BeginJob("notEmpty")` — so outputs,
+///    key_partitions, lineage, and the full Metrics equal that sequence's
+///    for any pool size and fault regime (ConvergenceReplayTest). The wins
+///    are real-execution wins.
 ///  - The counters `native_iterations`, `hoisted_broadcast_reuses`, and
 ///    `convergence_checks_in_engine` are real-execution diagnostics
-///    (precedent: `real_spill_*`), excluded from the simulated identity and
-///    exactly zero with the knob off.
+///    (precedent: `real_spill_*`); no simulated charge depends on them.
 namespace matryoshka::engine {
 
 struct IterateOptions {
@@ -87,8 +82,8 @@ inline void ChargeScanStageMeta(Cluster* c,
 
 /// EstimateBagBytes on a phantom bag: `samples[p]` holds the first
 /// min(counts[p], kIterateByteSampleCap) elements of partition p in
-/// partition order — exactly the elements the eager estimator would sample
-/// on the materialized bag, so the extrapolation is bit-identical.
+/// partition order — exactly the elements the estimator would sample on the
+/// materialized bag, so the extrapolation is bit-identical.
 template <typename T>
 double EstimateBytesFromSamples(const std::vector<std::vector<T>>& samples,
                                 const std::vector<std::size_t>& counts) {
@@ -109,7 +104,7 @@ double EstimateBytesFromSamples(const std::vector<std::vector<T>>& samples,
 /// comparison, same AccrueCheckpoint charge when it fires. Returns the
 /// resulting lineage depth (1 after a fired checkpoint); the caller checks
 /// c->ok() afterwards — a failed checkpoint write poisons the run exactly
-/// like the eager Checkpoint would.
+/// like a real Checkpoint would.
 template <typename T>
 int ProbePhantomFiltered(Cluster* c, const std::vector<std::size_t>& counts,
                          const std::vector<std::vector<T>>& samples,
@@ -138,34 +133,28 @@ struct FilterCountResult {
   int64_t count = 0;
 };
 
-/// The convergence step of the lifted do-while (control_flow.h):
+/// The convergence step of the lifted do-while (control_flow.h), replacing
 ///   cont = Map(Filter(bag, sel), proj);  continuing = Count(cont);
-/// Native arm: ONE fused pass produces the mapped output directly — the
-/// filtered intermediate is never materialized and the count is a tally of
-/// the same pass, not a third scan — while every simulated charge of the
-/// three-op sequence (filter scan, both auto-checkpoint probes, map scan,
-/// count job + scan) is replayed exactly. Legacy arm: literally the op
-/// sequence above.
+/// ONE fused pass produces the mapped output directly — the filtered
+/// intermediate is never materialized and the count is a tally of the same
+/// pass, not a third scan — while every simulated charge of the three-op
+/// sequence (filter scan, both auto-checkpoint probes, map scan, count job
+/// + scan) is replayed exactly.
 template <typename T, typename Sel, typename Proj>
 auto FilterMapCount(const Bag<T>& bag, Sel sel, Proj proj) {
   using U = std::decay_t<decltype(proj(std::declval<const T&>()))>;
   Cluster* c = bag.cluster();
-  if (!c->config().iteration.native) {
-    Bag<U> mapped = Map(Filter(bag, sel), proj);
-    const int64_t count = Count(mapped);
-    return FilterCountResult<U>{std::move(mapped), count};
-  }
   if (!c->ok()) return FilterCountResult<U>{Bag<U>(c), 0};
-  // Filter's scan, charged from metadata before any UDF runs (the eager
-  // operator charges before executing; a throwing predicate must observe
-  // the same clock).
+  // Filter's scan, charged from metadata before any UDF runs (Filter
+  // charges at composition, before its predicate ever runs; a throwing
+  // predicate must observe the same clock).
   internal::ChargeScanStage(bag, 1.0, "filter");
   if (!c->ok()) return FilterCountResult<U>{Bag<U>(c), 0};
   const auto& parts = bag.partitions();
   typename Bag<U>::Partitions mapped(parts.size());
   std::vector<std::size_t> counts(parts.size(), 0);
   // First matches per partition, kept only to feed the phantom probe's byte
-  // estimator with exactly the elements the eager path would sample.
+  // estimator with exactly the elements it would sample on Filter's output.
   std::vector<std::vector<T>> samples(parts.size());
   internal::GuardedParallelFor(c, parts.size(), [&](std::size_t i) {
     const auto& part = parts[i];
@@ -180,12 +169,12 @@ auto FilterMapCount(const Bag<T>& bag, Sel sel, Proj proj) {
     counts[i] = out.size();
   });
   if (!c->ok()) return FilterCountResult<U>{Bag<U>(c), 0};
-  // The probe the eager Filter would run on its output.
+  // The probe Filter would run on its output.
   const int lineage_f = internal::ProbePhantomFiltered(
       c, counts, samples, bag.scale(), bag.lineage_depth() + 1);
   if (!c->ok()) return FilterCountResult<U>{Bag<U>(c), 0};
-  // Map's scan over the filtered cardinalities, then the probe the eager
-  // Map would run — the mapped bag is real, so this one is the real probe.
+  // Map's scan over the filtered cardinalities, then the probe Map would
+  // run — the mapped bag is real, so this one is the real probe.
   internal::ChargeScanStageMeta(c, counts, bag.scale(), lineage_f, 1.0, "map");
   Bag<U> out = internal::MaybeAutoCheckpoint(
       Bag<U>(c, std::move(mapped), bag.scale(), 0, lineage_f + 1));
@@ -193,8 +182,7 @@ auto FilterMapCount(const Bag<T>& bag, Sel sel, Proj proj) {
   for (const std::size_t s : counts) total += static_cast<int64_t>(s);
   if (!c->ok()) return FilterCountResult<U>{std::move(out), 0};
   // The count action, answered in-engine from the pass's tally. Its job
-  // launch and scan stay charged: the knob must not move the simulated
-  // clock.
+  // launch and scan stay charged: the simulated clock must not move.
   c->BeginJob("count");
   internal::ChargeScanStageMeta(c, counts, bag.scale(), out.lineage_depth(),
                                 0.25, "count");
@@ -202,17 +190,13 @@ auto FilterMapCount(const Bag<T>& bag, Sel sel, Proj proj) {
   return FilterCountResult<U>{std::move(out), total};
 }
 
-/// The convergence step of the connected-components style loop:
+/// The convergence step of the connected-components style loop, replacing
 ///   changed = NotEmpty(Filter(bag, pred));
-/// Native arm: one counting pass — the filtered bag is never built — with
-/// the filter scan, its probe, and the notEmpty job + scan replayed
-/// exactly. Legacy arm: literally the sequence above.
+/// One counting pass — the filtered bag is never built — with the filter
+/// scan, its probe, and the notEmpty job + scan replayed exactly.
 template <typename T, typename P>
 bool AnyMatch(const Bag<T>& bag, P pred) {
   Cluster* c = bag.cluster();
-  if (!c->config().iteration.native) {
-    return NotEmpty(Filter(bag, pred));
-  }
   if (!c->ok()) return false;
   internal::ChargeScanStage(bag, 1.0, "filter");
   if (!c->ok()) return false;
@@ -246,10 +230,8 @@ bool AnyMatch(const Bag<T>& bag, P pred) {
 /// loop. `body(state, i)` produces the next state; `converged(&state, i)`
 /// evaluates the exit predicate after the body — taking the state by
 /// pointer so it can fold the convergence artifacts (e.g. the narrowed
-/// loop context) back into it. Both arms run through this same loop: the
-/// knob only changes what the convergence helpers above do and whether
-/// per-iteration kIterate spans / counters are recorded, so the knob-off
-/// execution is byte-identical to a hand-written driver loop.
+/// loop context) back into it. Each iteration counts into
+/// native_iterations and records a zero-width kIterate span.
 ///
 /// Failure semantics match a driver loop over sticky-status operators: a
 /// failed cluster breaks out at the next boundary with the state the body

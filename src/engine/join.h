@@ -130,11 +130,9 @@ Bag<std::pair<K, std::pair<V, W>>> BroadcastJoin(
   // still resident on every machine, so re-broadcasting it (the classic
   // per-iteration tax of driver loops joining against an invariant side)
   // would pay transfer and memory for bytes the cluster already holds.
-  // Skip the broadcast charge on a hit — in BOTH iteration arms, so the
-  // legacy driver loops stop paying the redundant AccrueBroadcast too and
-  // the native arm stays bit-identical to them — but keep the per-task
-  // build cost below: every probe task still re-builds its hash table from
-  // the resident payload. Registration happens only after a SUCCESSFUL
+  // Skip the broadcast charge on a hit, but keep the per-task build cost
+  // below: every probe task still re-builds its hash table from the
+  // resident payload. Registration happens only after a SUCCESSFUL
   // broadcast: an OOM fallback leaves nothing resident.
   const auto payload = right.shared_partitions();
   if (c->BroadcastResident(payload.get())) {

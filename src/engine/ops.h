@@ -1,8 +1,9 @@
 #ifndef MATRYOSHKA_ENGINE_OPS_H_
 #define MATRYOSHKA_ENGINE_OPS_H_
 
+#include <algorithm>
 #include <cstdint>
-#include <functional>
+#include <memory>
 #include <optional>
 #include <type_traits>
 #include <utility>
@@ -33,7 +34,8 @@ namespace internal {
 
 /// Per-task costs of scanning each partition once at the given UDF weight.
 /// Uses the bag's tracked cardinalities, so charging a pending (fused) bag
-/// does not materialize it and yields the same costs the eager path would.
+/// does not materialize it and yields the same costs its materialization
+/// would.
 template <typename T>
 std::vector<double> ScanCosts(const Bag<T>& bag, double weight) {
   const std::vector<std::size_t> sizes = bag.PartitionSizes();
@@ -57,97 +59,92 @@ void ChargeScanStage(const Bag<T>& bag, double weight,
                  StageContext{label});
 }
 
-/// True when the narrow op being applied to `bag` should compose onto a
-/// pending chain instead of executing eagerly. As a side effect, enforces
-/// the forced boundaries of the fusion contract: a pending input whose
-/// tracked cardinality is inexact (a cardinality-changing op ended the
-/// chain) or whose chain is at the depth cap is materialized here, and the
-/// new op starts a fresh chain on the result.
+/// Enforces the forced boundaries of the fusion contract on a narrow op's
+/// input: a pending input whose tracked cardinality is inexact (a
+/// cardinality-changing op ended the chain) or whose chain is at the depth
+/// cap is materialized here, and the new op starts a fresh chain on the
+/// result.
 template <typename T>
-bool ComposeReady(const Bag<T>& bag) {
-  const FusionConfig& fusion = bag.cluster()->config().fusion;
-  if (!fusion.enabled) return false;
-  if (bag.pending() && (!bag.counts_exact() ||
-                        bag.pending_chain_ops() >= fusion.max_chain_depth)) {
+void ForceBoundary(const Bag<T>& bag) {
+  if (bag.pending() &&
+      (!bag.counts_exact() ||
+       bag.pending_chain_ops() >=
+           bag.cluster()->config().fusion.max_chain_depth)) {
     bag.Force();
   }
-  return true;
 }
 
-/// Chain length of the op being composed onto `bag`.
-template <typename T>
-int NextChainOps(const Bag<T>& bag) {
-  return bag.pending_chain_ops() + 1;
-}
-
-/// Stacks one per-element transform onto `bag`'s stream, producing the
-/// pending feed of the composing op's output. `make_sink(p, emit)` returns
-/// the per-partition element consumer (a stateful lambda where the op needs
-/// per-partition state, e.g. zipWithUniqueId's counter); it is invoked with
-/// `const T&` elements when the upstream is already materialized and with
-/// `T&&` chain temporaries when the upstream is itself pending, so
-/// pass-through ops can move instead of copy.
-template <typename U, typename T, typename MakeSink>
-typename Bag<U>::Feed ComposeFeed(const Bag<T>& bag, MakeSink make_sink) {
-  // When a sibling handle already forced the shared chain state, compose on
-  // the memoized partitions instead of deep-copying the pending
-  // `std::function` chain into yet another consumer (the copy bought
-  // nothing: every consumer would stream the same shared materialization).
-  if (bag.pending_materialized()) bag.Force();
-  if (bag.pending()) {
-    return [prev = bag.pending_feed(), make_sink](
-               std::size_t p, const typename Bag<U>::Sink& emit) {
-      auto sink = make_sink(p, emit);
-      prev(p, [&sink](T&& x) { sink(std::move(x)); });
-    };
-  }
-  return [parts = bag.shared_partitions(), make_sink](
-             std::size_t p, const typename Bag<U>::Sink& emit) {
-    auto sink = make_sink(p, emit);
-    for (const T& x : (*parts)[p]) sink(x);
-  };
-}
-
-/// Builds the deferred (feed, run, chain) triple of a narrow op whose
-/// static representation is `ChainT`. With static feeds on, `make_chain()`
-/// produces the concrete chain value and both erased closures wrap the one
-/// shared instance; otherwise only the legacy type-erased feed from
-/// `make_feed()` is built. Factored out so each operator's two overloads
-/// stay declarative.
-template <typename ChainT, typename MakeChain, typename MakeFeed>
-struct DeferredRepr {
-  typename Bag<typename ChainT::Out>::Feed feed;
-  typename Bag<typename ChainT::Out>::Run run;
-  std::shared_ptr<const ChainT> chain;
-
-  DeferredRepr(const Cluster* c, MakeChain make_chain, MakeFeed make_feed) {
-    if (StaticFeedsOn(c)) {
-      chain = std::make_shared<const ChainT>(make_chain());
-      EraseChain(chain, &feed, &run);
-    } else {
-      feed = make_feed();
-    }
-  }
+/// What a narrow op does to the shape of its input, for the compose step.
+struct NarrowShape {
+  /// Scan-stage label.
+  const char* label;
+  /// One output per input: the tracked counts stay exact.
+  bool exact;
+  /// At most one output per input: the input counts bound the output
+  /// (reserved for at force time).
+  bool bounded;
+  /// Keys unchanged and elements never move: key partitioning survives.
+  bool keeps_keys;
 };
 
-template <typename ChainT, typename MakeChain, typename MakeFeed>
-DeferredRepr<ChainT, MakeChain, MakeFeed> MakeDeferredRepr(
-    const Cluster* c, MakeChain make_chain, MakeFeed make_feed) {
-  return DeferredRepr<ChainT, MakeChain, MakeFeed>(c, std::move(make_chain),
-                                                   std::move(make_feed));
+inline constexpr NarrowShape kMapShape{"map", true, true, false};
+inline constexpr NarrowShape kFilterShape{"filter", false, true, true};
+inline constexpr NarrowShape kFlatMapShape{"flatMap", false, false, false};
+inline constexpr NarrowShape kMapValuesShape{"mapValues", true, true, true};
+inline constexpr NarrowShape kFlatMapValuesShape{"flatMapValues", false,
+                                                 false, true};
+inline constexpr NarrowShape kZipWithUniqueIdShape{"zipWithUniqueId", true,
+                                                   true, false};
+inline constexpr NarrowShape kSampleShape{"sample", false, true, true};
+
+/// The compose step every narrow op shares: force the input's boundary,
+/// charge the op's scan stage from tracked cardinalities (every simulated
+/// charge happens here, at composition time), build the concrete chain
+/// with `make_chain()`, defer it as the output's pending state behind the
+/// one erasure boundary, and pass the result through the auto-checkpoint
+/// probe. Nothing executes until a forcing point drives the chain.
+template <typename ChainT, typename T, typename MakeChain>
+FusedBag<ChainT> Compose(const Bag<T>& bag, double weight,
+                         const NarrowShape& shape, MakeChain make_chain) {
+  using Out = typename ChainT::Out;
+  Cluster* c = bag.cluster();
+  if (!c->ok()) return FusedBag<ChainT>(Bag<Out>(c), nullptr);
+  ForceBoundary(bag);
+  ChargeScanStage(bag, weight, shape.label);
+  const int chain_ops = bag.pending_chain_ops() + 1;
+  auto chain = std::make_shared<const ChainT>(make_chain());
+  typename Bag<Out>::Feed feed;
+  typename Bag<Out>::Run run;
+  EraseChain(chain, &feed, &run);
+  return FusedBag<ChainT>(
+      MaybeAutoCheckpoint(Bag<Out>::Deferred(
+          c, std::move(feed), std::move(run), bag.PartitionSizes(),
+          shape.exact, shape.bounded, chain_ops, bag.scale(),
+          shape.keeps_keys ? bag.key_partitions() : 0,
+          bag.lineage_depth() + 1)),
+      std::move(chain));
 }
 
-/// True when a narrow op on this FusedBag handle should extend the concrete
-/// chain in place (the zero-erasure path). Call AFTER ComposeReady enforced
-/// the forced boundaries: a still-pending input is then size-preserving and
-/// under the depth cap by construction. Declines when a sibling handle
-/// already forced the shared state (extending would re-run the chain the
-/// memoized result already paid for) — the caller re-roots at the
-/// materialization instead.
+/// True when a narrow op on this FusedBag handle can extend its concrete
+/// chain in place (the zero-erasure path). Forces the input's boundary
+/// first, so an extendable input is size-preserving and under the depth
+/// cap. Declines on a failed cluster, on a handle without a chain (see
+/// FusedBag), on a forced chain, and when a sibling handle already forced
+/// the shared state (extending would re-run the chain the memoized result
+/// already paid for): the caller then re-roots through the Bag<T>
+/// overload.
 template <typename Chain>
-bool ExtendReady(const FusedBag<Chain>& bag) {
-  return StaticFeedsOn(bag.cluster()) && bag.chain() != nullptr &&
-         bag.pending() && !bag.pending_materialized();
+bool Extendable(const FusedBag<Chain>& bag) {
+  if (!bag.cluster()->ok()) return false;
+  ForceBoundary(bag);
+  return bag.chain() != nullptr && bag.pending() &&
+         !bag.pending_materialized();
+}
+
+/// Id stride of ZipWithUniqueId: the partition count (at least 1).
+template <typename T>
+uint64_t UniqueIdStride(const Bag<T>& bag) {
+  return static_cast<uint64_t>(std::max<int64_t>(1, bag.num_partitions()));
 }
 
 }  // namespace internal
@@ -158,224 +155,80 @@ bool ExtendReady(const FusedBag<Chain>& bag) {
 /// Bag subclass additionally carrying the pending chain's concrete feed
 /// type (fused_feed.h). Holding the result in `auto` lets the next narrow
 /// op extend that static chain without type erasure; assigning to a plain
-/// Bag<U> slices the handle and still works through the erased pending
-/// state (at one erased hop per such boundary).
+/// Bag<U> slices the handle, and the next op roots a fresh chain at the
+/// erased pending feed (one erased hop per such boundary).
 template <typename T, typename F>
 auto Map(const Bag<T>& bag, F f, double weight = 1.0) {
-  using U = std::decay_t<decltype(f(std::declval<const T&>()))>;
   using ChainT = internal::MapFeed<F, internal::SourceFeed<T>>;
-  Cluster* c = bag.cluster();
-  if (!c->ok()) return internal::FusedBag<ChainT>(Bag<U>(c), nullptr);
-  if (internal::ComposeReady(bag)) {
-    // Deferred: charge the cost model now, execute later in one fused pass.
-    internal::ChargeScanStage(bag, weight, "map");
-    const int chain = internal::NextChainOps(bag);
-    auto repr = internal::MakeDeferredRepr<ChainT>(
-        c,
-        [&] { return ChainT{internal::MakeSourceFeed(bag), f}; },
-        [&] {
-          return internal::ComposeFeed<U>(
-              bag, [f](std::size_t, const typename Bag<U>::Sink& emit) {
-                return [f, &emit](auto&& x) { emit(f(x)); };
-              });
-        });
-    return internal::FusedBag<ChainT>(
-        internal::MaybeAutoCheckpoint(Bag<U>::Deferred(
-            c, std::move(repr.feed), bag.PartitionSizes(),
-            /*counts_exact=*/true, /*counts_bounded=*/true, chain,
-            bag.scale(), 0, bag.lineage_depth() + 1, std::move(repr.run))),
-        std::move(repr.chain));
-  }
-  internal::ChargeScanStage(bag, weight, "map");
-  const auto& parts = bag.partitions();
-  typename Bag<U>::Partitions out(parts.size());
-  internal::GuardedParallelFor(c, parts.size(), [&](std::size_t i) {
-    const auto& part = parts[i];
-    out[i].reserve(part.size());
-    for (const auto& x : part) out[i].push_back(f(x));
+  return internal::Compose<ChainT>(bag, weight, internal::kMapShape, [&] {
+    return ChainT{internal::MakeSourceFeed(bag), f};
   });
-  return internal::FusedBag<ChainT>(
-      internal::MaybeAutoCheckpoint(
-          Bag<U>(c, std::move(out), bag.scale(), 0, bag.lineage_depth() + 1)),
-      nullptr);
 }
 
 /// Map over a FusedBag: extends the concrete chain type in place — the
 /// composed pipeline stays ONE monomorphic loop — falling back to the
 /// Bag<T> overload (re-rooted at the erased or materialized state) at any
-/// runtime boundary: knob off, chain forced, depth cap, shared
-/// materialization.
+/// runtime boundary: chain forced, depth cap, shared materialization.
 template <typename Chain, typename F>
 auto Map(const internal::FusedBag<Chain>& bag, F f, double weight = 1.0) {
-  using T = typename Chain::Out;
-  using U = std::decay_t<decltype(f(std::declval<const T&>()))>;
   using ExtT = internal::MapFeed<F, Chain>;
-  Cluster* c = bag.cluster();
-  if (!c->ok()) return internal::FusedBag<ExtT>(Bag<U>(c), nullptr);
-  if (internal::ComposeReady(bag) && internal::ExtendReady(bag)) {
-    internal::ChargeScanStage(bag, weight, "map");
-    const int chain = internal::NextChainOps(bag);
-    auto st = std::make_shared<const ExtT>(ExtT{*bag.chain(), f});
-    typename Bag<U>::Feed feed;
-    typename Bag<U>::Run run;
-    internal::EraseChain(st, &feed, &run);
+  if (!internal::Extendable(bag)) {
     return internal::FusedBag<ExtT>(
-        internal::MaybeAutoCheckpoint(Bag<U>::Deferred(
-            c, std::move(feed), bag.PartitionSizes(), /*counts_exact=*/true,
-            /*counts_bounded=*/true, chain, bag.scale(), 0,
-            bag.lineage_depth() + 1, std::move(run))),
-        std::move(st));
+        Map(static_cast<const Bag<typename Chain::Out>&>(bag), f, weight),
+        nullptr);
   }
-  return internal::FusedBag<ExtT>(
-      Map(static_cast<const Bag<T>&>(bag), f, weight), nullptr);
+  return internal::Compose<ExtT>(bag, weight, internal::kMapShape,
+                                 [&] { return ExtT{*bag.chain(), f}; });
 }
 
-/// Keeps the elements for which `pred` returns true.
+/// Keeps the elements for which `pred` returns true. The output
+/// cardinality is data-dependent: the tracked counts demote to an upper
+/// bound, making the chain a forced boundary for the next narrow op.
 template <typename T, typename P>
 auto Filter(const Bag<T>& bag, P pred, double weight = 1.0) {
   using ChainT = internal::FilterFeed<P, internal::SourceFeed<T>>;
-  Cluster* c = bag.cluster();
-  if (!c->ok()) return internal::FusedBag<ChainT>(Bag<T>(c), nullptr);
-  if (internal::ComposeReady(bag)) {
-    internal::ChargeScanStage(bag, weight, "filter");
-    const int chain = internal::NextChainOps(bag);
-    auto repr = internal::MakeDeferredRepr<ChainT>(
-        c,
-        [&] { return ChainT{internal::MakeSourceFeed(bag), pred}; },
-        [&] {
-          return internal::ComposeFeed<T>(
-              bag, [pred](std::size_t, const typename Bag<T>::Sink& emit) {
-                return [pred, &emit](auto&& x) {
-                  if (pred(x)) emit(T(std::forward<decltype(x)>(x)));
-                };
-              });
-        });
-    // Output cardinality is now data-dependent: the tracked counts demote
-    // to an upper bound (counts_exact=false), making this chain a forced
-    // boundary for the next narrow op. Key partitioning survives filtering.
-    return internal::FusedBag<ChainT>(
-        internal::MaybeAutoCheckpoint(Bag<T>::Deferred(
-            c, std::move(repr.feed), bag.PartitionSizes(),
-            /*counts_exact=*/false, /*counts_bounded=*/true, chain,
-            bag.scale(), bag.key_partitions(), bag.lineage_depth() + 1,
-            std::move(repr.run))),
-        std::move(repr.chain));
-  }
-  internal::ChargeScanStage(bag, weight, "filter");
-  const auto& parts = bag.partitions();
-  typename Bag<T>::Partitions out(parts.size());
-  internal::GuardedParallelFor(c, parts.size(), [&](std::size_t i) {
-    const auto& part = parts[i];
-    // Selectivity-free capacity bound: the input size. Removes push_back
-    // growth reallocations so the non-fused baseline is fair to A/B against.
-    out[i].reserve(part.size());
-    for (const auto& x : part) {
-      if (pred(x)) out[i].push_back(x);
-    }
+  return internal::Compose<ChainT>(bag, weight, internal::kFilterShape, [&] {
+    return ChainT{internal::MakeSourceFeed(bag), pred};
   });
-  // Filtering never moves elements: key partitioning survives.
-  return internal::FusedBag<ChainT>(
-      internal::MaybeAutoCheckpoint(
-          Bag<T>(c, std::move(out), bag.scale(), bag.key_partitions(),
-                 bag.lineage_depth() + 1)),
-      nullptr);
 }
 
 /// Filter over a FusedBag: extends the concrete chain (see Map).
 template <typename Chain, typename P>
 auto Filter(const internal::FusedBag<Chain>& bag, P pred,
             double weight = 1.0) {
-  using T = typename Chain::Out;
   using ExtT = internal::FilterFeed<P, Chain>;
-  Cluster* c = bag.cluster();
-  if (!c->ok()) return internal::FusedBag<ExtT>(Bag<T>(c), nullptr);
-  if (internal::ComposeReady(bag) && internal::ExtendReady(bag)) {
-    internal::ChargeScanStage(bag, weight, "filter");
-    const int chain = internal::NextChainOps(bag);
-    auto st = std::make_shared<const ExtT>(ExtT{*bag.chain(), pred});
-    typename Bag<T>::Feed feed;
-    typename Bag<T>::Run run;
-    internal::EraseChain(st, &feed, &run);
+  if (!internal::Extendable(bag)) {
     return internal::FusedBag<ExtT>(
-        internal::MaybeAutoCheckpoint(Bag<T>::Deferred(
-            c, std::move(feed), bag.PartitionSizes(), /*counts_exact=*/false,
-            /*counts_bounded=*/true, chain, bag.scale(),
-            bag.key_partitions(), bag.lineage_depth() + 1, std::move(run))),
-        std::move(st));
+        Filter(static_cast<const Bag<typename Chain::Out>&>(bag), pred,
+               weight),
+        nullptr);
   }
-  return internal::FusedBag<ExtT>(
-      Filter(static_cast<const Bag<T>&>(bag), pred, weight), nullptr);
+  return internal::Compose<ExtT>(bag, weight, internal::kFilterShape,
+                                 [&] { return ExtT{*bag.chain(), pred}; });
 }
 
 /// Applies `f` to every element and concatenates the results.
-/// f: T -> iterable of U.
+/// f: T -> iterable of U. Expansion is unbounded: the tracked counts keep
+/// only the partition count.
 template <typename T, typename F>
 auto FlatMap(const Bag<T>& bag, F f, double weight = 1.0) {
-  using U = std::decay_t<decltype(*std::begin(f(std::declval<const T&>())))>;
   using ChainT = internal::FlatMapFeed<F, internal::SourceFeed<T>>;
-  Cluster* c = bag.cluster();
-  if (!c->ok()) return internal::FusedBag<ChainT>(Bag<U>(c), nullptr);
-  if (internal::ComposeReady(bag)) {
-    internal::ChargeScanStage(bag, weight, "flatMap");
-    const int chain = internal::NextChainOps(bag);
-    auto repr = internal::MakeDeferredRepr<ChainT>(
-        c,
-        [&] { return ChainT{internal::MakeSourceFeed(bag), f}; },
-        [&] {
-          return internal::ComposeFeed<U>(
-              bag, [f](std::size_t, const typename Bag<U>::Sink& emit) {
-                return [f, &emit](auto&& x) {
-                  for (auto&& y : f(x)) emit(std::move(y));
-                };
-              });
-        });
-    // Expansion is unbounded: counts keep only the partition count
-    // (counts_bounded=false disables output reservation at force time).
-    return internal::FusedBag<ChainT>(
-        internal::MaybeAutoCheckpoint(Bag<U>::Deferred(
-            c, std::move(repr.feed), bag.PartitionSizes(),
-            /*counts_exact=*/false, /*counts_bounded=*/false, chain,
-            bag.scale(), 0, bag.lineage_depth() + 1, std::move(repr.run))),
-        std::move(repr.chain));
-  }
-  internal::ChargeScanStage(bag, weight, "flatMap");
-  const auto& parts = bag.partitions();
-  typename Bag<U>::Partitions out(parts.size());
-  internal::GuardedParallelFor(c, parts.size(), [&](std::size_t i) {
-    for (const auto& x : parts[i]) {
-      for (auto&& y : f(x)) out[i].push_back(std::move(y));
-    }
+  return internal::Compose<ChainT>(bag, weight, internal::kFlatMapShape, [&] {
+    return ChainT{internal::MakeSourceFeed(bag), f};
   });
-  return internal::FusedBag<ChainT>(
-      internal::MaybeAutoCheckpoint(
-          Bag<U>(c, std::move(out), bag.scale(), 0, bag.lineage_depth() + 1)),
-      nullptr);
 }
 
 /// FlatMap over a FusedBag: extends the concrete chain (see Map).
 template <typename Chain, typename F>
 auto FlatMap(const internal::FusedBag<Chain>& bag, F f, double weight = 1.0) {
-  using T = typename Chain::Out;
   using ExtT = internal::FlatMapFeed<F, Chain>;
-  using U = typename ExtT::Out;
-  Cluster* c = bag.cluster();
-  if (!c->ok()) return internal::FusedBag<ExtT>(Bag<U>(c), nullptr);
-  if (internal::ComposeReady(bag) && internal::ExtendReady(bag)) {
-    internal::ChargeScanStage(bag, weight, "flatMap");
-    const int chain = internal::NextChainOps(bag);
-    auto st = std::make_shared<const ExtT>(ExtT{*bag.chain(), f});
-    typename Bag<U>::Feed feed;
-    typename Bag<U>::Run run;
-    internal::EraseChain(st, &feed, &run);
+  if (!internal::Extendable(bag)) {
     return internal::FusedBag<ExtT>(
-        internal::MaybeAutoCheckpoint(Bag<U>::Deferred(
-            c, std::move(feed), bag.PartitionSizes(), /*counts_exact=*/false,
-            /*counts_bounded=*/false, chain, bag.scale(), 0,
-            bag.lineage_depth() + 1, std::move(run))),
-        std::move(st));
+        FlatMap(static_cast<const Bag<typename Chain::Out>&>(bag), f, weight),
+        nullptr);
   }
-  return internal::FusedBag<ExtT>(
-      FlatMap(static_cast<const Bag<T>&>(bag), f, weight), nullptr);
+  return internal::Compose<ExtT>(bag, weight, internal::kFlatMapShape,
+                                 [&] { return ExtT{*bag.chain(), f}; });
 }
 
 /// Transforms whole partitions. f: const std::vector<T>& -> std::vector<U>.
@@ -417,78 +270,26 @@ auto Values(const Bag<std::pair<K, V>>& bag) {
 /// mapValues-with-preservesPartitioning).
 template <typename K, typename V, typename F>
 auto MapValues(const Bag<std::pair<K, V>>& bag, F f, double weight = 1.0) {
-  using W = std::decay_t<decltype(f(std::declval<const V&>()))>;
-  using Out = std::pair<K, W>;
   using ChainT =
       internal::MapValuesFeed<F, internal::SourceFeed<std::pair<K, V>>>;
-  Cluster* c = bag.cluster();
-  if (!c->ok()) return internal::FusedBag<ChainT>(Bag<Out>(c), nullptr);
-  if (internal::ComposeReady(bag)) {
-    internal::ChargeScanStage(bag, weight, "mapValues");
-    const int chain = internal::NextChainOps(bag);
-    auto repr = internal::MakeDeferredRepr<ChainT>(
-        c,
-        [&] { return ChainT{internal::MakeSourceFeed(bag), f}; },
-        [&] {
-          return internal::ComposeFeed<Out>(
-              bag, [f](std::size_t, const typename Bag<Out>::Sink& emit) {
-                return [f, &emit](auto&& kv) {
-                  // Forward the value so a chain temporary's payload moves
-                  // through a by-value f instead of reallocating (same
-                  // bytes; mirrors MapValuesFeed in fused_feed.h).
-                  emit(Out(std::forward<decltype(kv)>(kv).first,
-                           f(std::forward<decltype(kv)>(kv).second)));
-                };
-              });
-        });
-    return internal::FusedBag<ChainT>(
-        internal::MaybeAutoCheckpoint(Bag<Out>::Deferred(
-            c, std::move(repr.feed), bag.PartitionSizes(),
-            /*counts_exact=*/true, /*counts_bounded=*/true, chain,
-            bag.scale(), bag.key_partitions(), bag.lineage_depth() + 1,
-            std::move(repr.run))),
-        std::move(repr.chain));
-  }
-  internal::ChargeScanStage(bag, weight, "mapValues");
-  const auto& parts = bag.partitions();
-  typename Bag<Out>::Partitions out(parts.size());
-  internal::GuardedParallelFor(c, parts.size(), [&](std::size_t i) {
-    const auto& part = parts[i];
-    out[i].reserve(part.size());
-    for (const auto& [k, v] : part) out[i].emplace_back(k, f(v));
-  });
-  return internal::FusedBag<ChainT>(
-      internal::MaybeAutoCheckpoint(
-          Bag<Out>(c, std::move(out), bag.scale(), bag.key_partitions(),
-                   bag.lineage_depth() + 1)),
-      nullptr);
+  return internal::Compose<ChainT>(
+      bag, weight, internal::kMapValuesShape,
+      [&] { return ChainT{internal::MakeSourceFeed(bag), f}; });
 }
 
 /// MapValues over a FusedBag: extends the concrete chain (see Map).
 template <typename Chain, typename F>
 auto MapValues(const internal::FusedBag<Chain>& bag, F f,
                double weight = 1.0) {
-  using T = typename Chain::Out;
   using ExtT = internal::MapValuesFeed<F, Chain>;
-  using Out = typename ExtT::Out;
-  Cluster* c = bag.cluster();
-  if (!c->ok()) return internal::FusedBag<ExtT>(Bag<Out>(c), nullptr);
-  if (internal::ComposeReady(bag) && internal::ExtendReady(bag)) {
-    internal::ChargeScanStage(bag, weight, "mapValues");
-    const int chain = internal::NextChainOps(bag);
-    auto st = std::make_shared<const ExtT>(ExtT{*bag.chain(), f});
-    typename Bag<Out>::Feed feed;
-    typename Bag<Out>::Run run;
-    internal::EraseChain(st, &feed, &run);
+  if (!internal::Extendable(bag)) {
     return internal::FusedBag<ExtT>(
-        internal::MaybeAutoCheckpoint(Bag<Out>::Deferred(
-            c, std::move(feed), bag.PartitionSizes(), /*counts_exact=*/true,
-            /*counts_bounded=*/true, chain, bag.scale(),
-            bag.key_partitions(), bag.lineage_depth() + 1, std::move(run))),
-        std::move(st));
+        MapValues(static_cast<const Bag<typename Chain::Out>&>(bag), f,
+                  weight),
+        nullptr);
   }
-  return internal::FusedBag<ExtT>(
-      MapValues(static_cast<const Bag<T>&>(bag), f, weight), nullptr);
+  return internal::Compose<ExtT>(bag, weight, internal::kMapValuesShape,
+                                 [&] { return ExtT{*bag.chain(), f}; });
 }
 
 /// Applies `f` to the value of every pair and emits one output pair per
@@ -496,76 +297,26 @@ auto MapValues(const internal::FusedBag<Chain>& bag, F f,
 /// f: V -> iterable of W.
 template <typename K, typename V, typename F>
 auto FlatMapValues(const Bag<std::pair<K, V>>& bag, F f, double weight = 1.0) {
-  using W = std::decay_t<decltype(*std::begin(f(std::declval<const V&>())))>;
-  using Out = std::pair<K, W>;
   using ChainT =
       internal::FlatMapValuesFeed<F, internal::SourceFeed<std::pair<K, V>>>;
-  Cluster* c = bag.cluster();
-  if (!c->ok()) return internal::FusedBag<ChainT>(Bag<Out>(c), nullptr);
-  if (internal::ComposeReady(bag)) {
-    internal::ChargeScanStage(bag, weight, "flatMapValues");
-    const int chain = internal::NextChainOps(bag);
-    auto repr = internal::MakeDeferredRepr<ChainT>(
-        c,
-        [&] { return ChainT{internal::MakeSourceFeed(bag), f}; },
-        [&] {
-          return internal::ComposeFeed<Out>(
-              bag, [f](std::size_t, const typename Bag<Out>::Sink& emit) {
-                return [f, &emit](auto&& kv) {
-                  for (auto&& w : f(kv.second)) {
-                    emit(Out(kv.first, std::move(w)));
-                  }
-                };
-              });
-        });
-    return internal::FusedBag<ChainT>(
-        internal::MaybeAutoCheckpoint(Bag<Out>::Deferred(
-            c, std::move(repr.feed), bag.PartitionSizes(),
-            /*counts_exact=*/false, /*counts_bounded=*/false, chain,
-            bag.scale(), bag.key_partitions(), bag.lineage_depth() + 1,
-            std::move(repr.run))),
-        std::move(repr.chain));
-  }
-  internal::ChargeScanStage(bag, weight, "flatMapValues");
-  const auto& parts = bag.partitions();
-  typename Bag<Out>::Partitions out(parts.size());
-  internal::GuardedParallelFor(c, parts.size(), [&](std::size_t i) {
-    for (const auto& [k, v] : parts[i]) {
-      for (auto&& w : f(v)) out[i].emplace_back(k, std::move(w));
-    }
-  });
-  return internal::FusedBag<ChainT>(
-      internal::MaybeAutoCheckpoint(
-          Bag<Out>(c, std::move(out), bag.scale(), bag.key_partitions(),
-                   bag.lineage_depth() + 1)),
-      nullptr);
+  return internal::Compose<ChainT>(
+      bag, weight, internal::kFlatMapValuesShape,
+      [&] { return ChainT{internal::MakeSourceFeed(bag), f}; });
 }
 
 /// FlatMapValues over a FusedBag: extends the concrete chain (see Map).
 template <typename Chain, typename F>
 auto FlatMapValues(const internal::FusedBag<Chain>& bag, F f,
                    double weight = 1.0) {
-  using T = typename Chain::Out;
   using ExtT = internal::FlatMapValuesFeed<F, Chain>;
-  using Out = typename ExtT::Out;
-  Cluster* c = bag.cluster();
-  if (!c->ok()) return internal::FusedBag<ExtT>(Bag<Out>(c), nullptr);
-  if (internal::ComposeReady(bag) && internal::ExtendReady(bag)) {
-    internal::ChargeScanStage(bag, weight, "flatMapValues");
-    const int chain = internal::NextChainOps(bag);
-    auto st = std::make_shared<const ExtT>(ExtT{*bag.chain(), f});
-    typename Bag<Out>::Feed feed;
-    typename Bag<Out>::Run run;
-    internal::EraseChain(st, &feed, &run);
+  if (!internal::Extendable(bag)) {
     return internal::FusedBag<ExtT>(
-        internal::MaybeAutoCheckpoint(Bag<Out>::Deferred(
-            c, std::move(feed), bag.PartitionSizes(), /*counts_exact=*/false,
-            /*counts_bounded=*/false, chain, bag.scale(),
-            bag.key_partitions(), bag.lineage_depth() + 1, std::move(run))),
-        std::move(st));
+        FlatMapValues(static_cast<const Bag<typename Chain::Out>&>(bag), f,
+                      weight),
+        nullptr);
   }
-  return internal::FusedBag<ExtT>(
-      FlatMapValues(static_cast<const Bag<T>&>(bag), f, weight), nullptr);
+  return internal::Compose<ExtT>(bag, weight, internal::kFlatMapValuesShape,
+                                 [&] { return ExtT{*bag.chain(), f}; });
 }
 
 /// Bag union (multiset semantics, like Spark's union): concatenates the two
@@ -602,83 +353,30 @@ Bag<T> Union(const Bag<T>& a, const Bag<T>& b) {
 
 /// Pairs every element with a unique 64-bit id (narrow: ids are formed from
 /// the partition index and the offset within the partition, like Spark's
-/// zipWithUniqueId).
+/// zipWithUniqueId). Only size-preserving chains reach it unforced, so each
+/// element's stream offset equals its materialized offset.
 template <typename T>
 auto ZipWithUniqueId(const Bag<T>& bag) {
-  using Out = std::pair<uint64_t, T>;
   using ChainT = internal::ZipUniqueIdFeed<internal::SourceFeed<T>>;
-  Cluster* c = bag.cluster();
-  if (!c->ok()) return internal::FusedBag<ChainT>(Bag<Out>(c), nullptr);
-  const uint64_t stride =
-      static_cast<uint64_t>(std::max<int64_t>(1, bag.num_partitions()));
-  if (internal::ComposeReady(bag)) {
-    internal::ChargeScanStage(bag, 1.0, "zipWithUniqueId");
-    const int chain = internal::NextChainOps(bag);
-    // Composing is only legal on size-preserving chains (ComposeReady
-    // forces otherwise), so the stream offset of each element equals its
-    // materialized offset and the assigned ids match the eager path.
-    auto repr = internal::MakeDeferredRepr<ChainT>(
-        c,
-        [&] { return ChainT{internal::MakeSourceFeed(bag), stride}; },
-        [&] {
-          return internal::ComposeFeed<Out>(
-              bag,
-              [stride](std::size_t p, const typename Bag<Out>::Sink& emit) {
-                return [stride, p, j = uint64_t{0}, &emit](auto&& x) mutable {
-                  emit(Out(j++ * stride + p, std::forward<decltype(x)>(x)));
-                };
-              });
-        });
-    return internal::FusedBag<ChainT>(
-        internal::MaybeAutoCheckpoint(Bag<Out>::Deferred(
-            c, std::move(repr.feed), bag.PartitionSizes(),
-            /*counts_exact=*/true, /*counts_bounded=*/true, chain,
-            bag.scale(), 0, bag.lineage_depth() + 1, std::move(repr.run))),
-        std::move(repr.chain));
-  }
-  internal::ChargeScanStage(bag, 1.0, "zipWithUniqueId");
-  const auto& parts = bag.partitions();
-  typename Bag<Out>::Partitions out(parts.size());
-  internal::GuardedParallelFor(c, parts.size(), [&](std::size_t i) {
-    const auto& part = parts[i];
-    out[i].reserve(part.size());
-    for (std::size_t j = 0; j < part.size(); ++j) {
-      out[i].emplace_back(static_cast<uint64_t>(j) * stride + i, part[j]);
-    }
-  });
-  return internal::FusedBag<ChainT>(
-      internal::MaybeAutoCheckpoint(
-          Bag<Out>(c, std::move(out), bag.scale(), 0,
-                   bag.lineage_depth() + 1)),
-      nullptr);
+  return internal::Compose<ChainT>(
+      bag, 1.0, internal::kZipWithUniqueIdShape, [&] {
+        return ChainT{internal::MakeSourceFeed(bag),
+                      internal::UniqueIdStride(bag)};
+      });
 }
 
 /// ZipWithUniqueId over a FusedBag: extends the concrete chain (see Map).
 template <typename Chain>
 auto ZipWithUniqueId(const internal::FusedBag<Chain>& bag) {
-  using T = typename Chain::Out;
-  using Out = std::pair<uint64_t, T>;
   using ExtT = internal::ZipUniqueIdFeed<Chain>;
-  Cluster* c = bag.cluster();
-  if (!c->ok()) return internal::FusedBag<ExtT>(Bag<Out>(c), nullptr);
-  const uint64_t stride =
-      static_cast<uint64_t>(std::max<int64_t>(1, bag.num_partitions()));
-  if (internal::ComposeReady(bag) && internal::ExtendReady(bag)) {
-    internal::ChargeScanStage(bag, 1.0, "zipWithUniqueId");
-    const int chain = internal::NextChainOps(bag);
-    auto st = std::make_shared<const ExtT>(ExtT{*bag.chain(), stride});
-    typename Bag<Out>::Feed feed;
-    typename Bag<Out>::Run run;
-    internal::EraseChain(st, &feed, &run);
+  if (!internal::Extendable(bag)) {
     return internal::FusedBag<ExtT>(
-        internal::MaybeAutoCheckpoint(Bag<Out>::Deferred(
-            c, std::move(feed), bag.PartitionSizes(), /*counts_exact=*/true,
-            /*counts_bounded=*/true, chain, bag.scale(), 0,
-            bag.lineage_depth() + 1, std::move(run))),
-        std::move(st));
+        ZipWithUniqueId(static_cast<const Bag<typename Chain::Out>&>(bag)),
+        nullptr);
   }
-  return internal::FusedBag<ExtT>(
-      ZipWithUniqueId(static_cast<const Bag<T>&>(bag)), nullptr);
+  return internal::Compose<ExtT>(
+      bag, 1.0, internal::kZipWithUniqueIdShape,
+      [&] { return ExtT{*bag.chain(), internal::UniqueIdStride(bag)}; });
 }
 
 // --- Actions ---

@@ -62,16 +62,18 @@ namespace internal {
 /// The arithmetic core of the auto-checkpoint decision, on bag *metadata*
 /// (lineage depth, real element count, real byte estimate). Factored out so
 /// the native-iteration operators (iterate.h), which track metadata for bags
-/// they never materialize per-op, reach the exact comparison the eager
-/// engine runs in MaybeAutoCheckpoint — same expression, same rounding, same
-/// verdict. Callers are responsible for the policy/lineage early-outs.
+/// they never materialize per-op, reach the exact comparison
+/// MaybeAutoCheckpoint runs — same expression, same rounding, same verdict.
+/// Fires only when the recompute strictly exceeds the write: an empty bag
+/// (0 recompute, 0 write) is never "checkpointed" for free. Callers are
+/// responsible for the policy/lineage early-outs.
 inline bool AutoCheckpointFires(const Cluster& c, int lineage_depth,
                                double real_size, double real_bytes) {
   const double lost_share = 1.0 / static_cast<double>(c.available_machines());
   const double chain_recompute = static_cast<double>(lineage_depth) *
                                  lost_share * c.ComputeCost(real_size, 1.0) /
                                  static_cast<double>(c.available_cores());
-  return !(chain_recompute < c.CheckpointWriteSeconds(real_bytes));
+  return chain_recompute > c.CheckpointWriteSeconds(real_bytes);
 }
 
 /// Cost-based auto-checkpoint hook: narrow operators pass their output
@@ -86,8 +88,8 @@ inline bool AutoCheckpointFires(const Cluster& c, int lineage_depth,
 /// actually needs data: the policy/lineage early-outs and the RealSize of a
 /// size-preserving chain answer from metadata, while the byte estimate (and
 /// a triggered Checkpoint) force the chain — producing exactly the values
-/// the eager engine computes on its materialized output, so the decision
-/// and every charge are bit-identical with fusion on or off.
+/// of its materialized output, so the decision and every charge do not
+/// depend on where the fused chain is cut.
 template <typename T>
 Bag<T> MaybeAutoCheckpoint(Bag<T> bag) {
   Cluster* c = bag.cluster();

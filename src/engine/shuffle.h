@@ -219,8 +219,8 @@ Bag<std::pair<K, V>> PartitionByKey(const Bag<std::pair<K, V>>& bag,
   Cluster* c = bag.cluster();
   if (!c->ok()) return Bag<std::pair<K, V>>(c);
   const int64_t parts = internal::ResolveParallelism(c, num_partitions);
-  // Metadata-only no-op when already co-partitioned (charge-free in the
-  // eager engine too); a pending key-preserving chain stays pending.
+  // Metadata-only no-op when already co-partitioned (charge-free); a
+  // pending key-preserving chain stays pending.
   if (internal::AlreadyKeyPartitioned(bag, parts)) return bag;
   auto out = internal::ShuffleBy(
       bag, parts,

@@ -40,13 +40,7 @@
 ///    independent of pool interleaving;
 ///  - cache-agnostic responses: a memo hit returns the memoized bytes of
 ///    the original computation, and hit/miss counters surface only in
-///    the driver's aggregate stats (hit timing is load-dependent);
-///  - iteration-arm-agnostic cache keys: ClusterConfig::iteration only
-///    changes HOW loops in a plan body execute (native in-engine loop vs
-///    legacy per-iteration driver round-trips), never the response bytes
-///    or the simulated Metrics — the arms are bit-identical by the
-///    engine::Iterate contract (engine/iterate.h) — so the memo key
-///    (plan, params, input) deliberately carries no iteration leg.
+///    the driver's aggregate stats (hit timing is load-dependent).
 ///
 /// Admission control: `max_in_flight` worker threads bound concurrent
 /// execution structurally; beyond that, requests queue up to
@@ -57,8 +51,9 @@ namespace matryoshka::serve {
 
 struct ServingConfig {
   /// Template for every per-request Cluster (parallelism, cost model,
-  /// faults, fusion, recovery). `shared_pool` and `recovery.run_deadline_s`
-  /// are overwritten per request; the rest is copied verbatim.
+  /// faults, fusion depth, recovery). `shared_pool` and
+  /// `recovery.run_deadline_s` are overwritten per request; the rest is
+  /// copied verbatim.
   engine::ClusterConfig cluster;
   /// Concurrent requests in execution (= worker threads).
   int max_in_flight = 4;

@@ -37,10 +37,10 @@ Bag<std::pair<Label, Vertex>> ConnectedComponents(const Bag<Edge>& edges,
   // Label propagation as a native in-engine loop (engine::Iterate): the
   // convergence test — "did any vertex's label shrink this round?" — is
   // answered by a fused AnyMatch that never materializes the filtered
-  // `improved` intermediate (with native iteration off it lowers to the
-  // classic Filter + NotEmpty driver round-trip, byte-identical to the old
-  // hand-written loop). The state carries both the freshly reduced labels
-  // and the labels the round started from, since convergence compares them.
+  // `improved` intermediate, while charging exactly what the Filter +
+  // NotEmpty it replaces would. The state carries both the freshly reduced
+  // labels and the labels the round started from, since convergence
+  // compares them.
   struct LoopState {
     Bag<std::pair<Vertex, Label>> labels;
     Bag<std::pair<Vertex, Label>> prev;

@@ -495,6 +495,34 @@ TEST(ExternalDeterminismTest, EnvOverrideOnlyAppliesToUnboundedConfigs) {
   EXPECT_EQ(bounded.real_budget().total(), 4096u);
 }
 
+#if defined(GTEST_HAS_DEATH_TEST)
+TEST(ExternalBudgetEnvDeathTest, OnlyPlainDecimalBytesParse) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const char* prev = std::getenv("MATRYOSHKA_REAL_BUDGET");
+  const std::optional<std::string> saved =
+      prev != nullptr ? std::optional<std::string>(prev) : std::nullopt;
+  // A typo must fail loudly rather than run unbounded ("", "abc"), with a
+  // 4-byte budget ("4MB"), with 2^64-1 ("-1"), or with 0 ("0x10").
+  for (const char* junk : {"", "abc", "4MB", "-1", "0x10"}) {
+    ::setenv("MATRYOSHKA_REAL_BUDGET", junk, /*overwrite=*/1);
+    EXPECT_DEATH({ Cluster c(Config(false, 0)); },
+                 "MATRYOSHKA_REAL_BUDGET=\"[^\"]*\" is not a plain decimal "
+                 "byte count")
+        << "value '" << junk << "'";
+  }
+  ::setenv("MATRYOSHKA_REAL_BUDGET", "4096", /*overwrite=*/1);
+  {
+    Cluster c(Config(false, 0));
+    EXPECT_EQ(c.real_budget().total(), 4096u);
+  }
+  if (saved.has_value()) {
+    ::setenv("MATRYOSHKA_REAL_BUDGET", saved->c_str(), /*overwrite=*/1);
+  } else {
+    ::unsetenv("MATRYOSHKA_REAL_BUDGET");
+  }
+}
+#endif  // GTEST_HAS_DEATH_TEST
+
 // --- Fault and retry paths ------------------------------------------------
 
 TEST(ExternalDeterminismTest, NoSpillFileLeaksUnderFaultsAndRetries) {

@@ -1,25 +1,25 @@
-// Native iteration (engine::Iterate) contract tests. The
-// MATRYOSHKA_NATIVE_ITER knob must be invisible to the simulated cost
-// model: driver-visible outputs, partitioning metadata (key_partitions),
-// and the complete simulated Metrics must be bit-identical between the
-// native in-engine loop and the legacy driver loop — for either fusion
-// arm, with the thread pool on or off, and under clean, fault, and
-// recovery/checkpoint regimes. Only the real-execution counters
-// (native_iterations, hoisted_broadcast_reuses,
-// convergence_checks_in_engine) may differ between the arms, and only in
-// the documented direction: nonzero with the knob on, exactly zero with it
-// off. The suite also locks down the loop-invariant broadcast residency
-// registry (satellite of the same change): re-broadcasting an already
-// resident payload charges nothing in EITHER arm, so the two arms cannot
-// drift apart on broadcast_bytes.
+// Native iteration (engine::Iterate) contract tests.
+//
+//  - The three iterative workloads and the lifted do-while run through one
+//    loop: default chains must match the per-op reference
+//    (fusion.max_chain_depth = 1) on driver-visible outputs, partitioning
+//    metadata (key_partitions), and the complete simulated Metrics — with
+//    the thread pool on or off, under clean, fault, and recovery/checkpoint
+//    regimes — and every run must report in-engine loop activity through
+//    the real-execution counters (native_iterations,
+//    convergence_checks_in_engine).
+//  - The fused convergence helpers replay the op sequences they replace:
+//    FilterMapCount equals Map(Filter) + Count and AnyMatch equals
+//    NotEmpty(Filter) on data, key_partitions, lineage, and every simulated
+//    metric (ConvergenceReplayTest).
+//  - The loop-invariant broadcast residency registry: re-broadcasting an
+//    already resident payload charges nothing and counts one reuse.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdlib>
 #include <map>
-#include <optional>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -48,30 +48,6 @@ using engine::ClusterConfig;
 using engine::Metrics;
 using engine::Parallelize;
 
-/// RAII environment override (the knob is read at Cluster construction).
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    if (const char* old = std::getenv(name)) prev_ = old;
-    if (value == nullptr) {
-      ::unsetenv(name);
-    } else {
-      ::setenv(name, value, /*overwrite=*/1);
-    }
-  }
-  ~ScopedEnv() {
-    if (prev_.has_value()) {
-      ::setenv(name_, prev_->c_str(), /*overwrite=*/1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-
- private:
-  const char* name_;
-  std::optional<std::string> prev_;
-};
-
 ClusterConfig Config(bool parallel) {
   ClusterConfig cfg;
   cfg.num_machines = 4;
@@ -82,13 +58,10 @@ ClusterConfig Config(bool parallel) {
   return cfg;
 }
 
-ClusterConfig WithFusion(ClusterConfig cfg, bool enabled) {
-  cfg.fusion.enabled = enabled;
-  return cfg;
-}
-
-ClusterConfig WithNativeIter(ClusterConfig cfg, bool native) {
-  cfg.iteration.native = native;
+/// The per-op reference: a chain depth of 1 forces every narrow op's
+/// output before the next op composes, so no two ops share a pass.
+ClusterConfig PerOp(ClusterConfig cfg) {
+  cfg.fusion.max_chain_depth = 1;
   return cfg;
 }
 
@@ -121,8 +94,8 @@ ClusterConfig WithRegime(ClusterConfig cfg, int regime) {
 }
 
 /// Every simulated-cost-model field. The three real-execution iteration
-/// counters are deliberately NOT here: they are the knob's observable
-/// effect and are asserted separately.
+/// counters are deliberately NOT here: they describe how a loop executed
+/// and are asserted separately.
 void ExpectSameMetrics(const Metrics& a, const Metrics& b) {
   EXPECT_EQ(a.simulated_time_s, b.simulated_time_s);
   EXPECT_EQ(a.jobs, b.jobs);
@@ -146,18 +119,11 @@ void ExpectSameMetrics(const Metrics& a, const Metrics& b) {
   EXPECT_EQ(a.plan_fallbacks, b.plan_fallbacks);
 }
 
-/// The knob's observable (real-execution) side: with native iteration on,
-/// the engine must report in-engine loop activity; with it off, the legacy
-/// driver loop runs and all three counters stay exactly zero.
-void ExpectIterationCounters(const Metrics& m, bool native) {
-  if (native) {
-    EXPECT_GT(m.native_iterations, 0);
-    EXPECT_GT(m.convergence_checks_in_engine, 0);
-  } else {
-    EXPECT_EQ(m.native_iterations, 0);
-    EXPECT_EQ(m.hoisted_broadcast_reuses, 0);
-    EXPECT_EQ(m.convergence_checks_in_engine, 0);
-  }
+/// The loop's observable (real-execution) side: the engine must report
+/// in-engine loop activity.
+void ExpectIterationCounters(const Metrics& m) {
+  EXPECT_GT(m.native_iterations, 0);
+  EXPECT_GT(m.convergence_checks_in_engine, 0);
 }
 
 // ---------- Workload arms ----------
@@ -233,70 +199,71 @@ CcOutcome RunCcArm(const ClusterConfig& cfg) {
   return out;
 }
 
-void ExpectSameKMeans(const KMeansOutcome& off, const KMeansOutcome& on) {
-  ASSERT_EQ(off.ok, on.ok);
-  ASSERT_EQ(off.groups.size(), on.groups.size());
-  for (std::size_t i = 0; i < off.groups.size(); ++i) {
-    EXPECT_EQ(off.groups[i].first, on.groups[i].first);
-    const auto& a = off.groups[i].second;
-    const auto& b = on.groups[i].second;
-    EXPECT_EQ(a.iterations, b.iterations) << "run " << off.groups[i].first;
-    EXPECT_EQ(a.means, b.means) << "run " << off.groups[i].first;
-    EXPECT_EQ(a.inertia, b.inertia) << "run " << off.groups[i].first;
+void ExpectSameKMeans(const KMeansOutcome& ref, const KMeansOutcome& got) {
+  ASSERT_EQ(ref.ok, got.ok);
+  ASSERT_EQ(ref.groups.size(), got.groups.size());
+  for (std::size_t i = 0; i < ref.groups.size(); ++i) {
+    EXPECT_EQ(ref.groups[i].first, got.groups[i].first);
+    const auto& a = ref.groups[i].second;
+    const auto& b = got.groups[i].second;
+    EXPECT_EQ(a.iterations, b.iterations) << "run " << ref.groups[i].first;
+    EXPECT_EQ(a.means, b.means) << "run " << ref.groups[i].first;
+    EXPECT_EQ(a.inertia, b.inertia) << "run " << ref.groups[i].first;
   }
-  ExpectSameMetrics(off.metrics, on.metrics);
+  ExpectSameMetrics(ref.metrics, got.metrics);
 }
 
-// ---------- Bit-identity across the knob ----------
+// ---------- Bit-identity across chain depths and pools ----------
 
-/// regime x fusion x pool sweep; the knob must be invisible everywhere.
+/// regime x chain depth x pool sweep. Every arm is compared against the
+/// per-op serial reference of its regime: `_eager` arms run at
+/// max_chain_depth = 1 (every narrow op its own pass), `_fused` arms with
+/// default chains.
 class IterateBitIdentityTest
-    : public ::testing::TestWithParam<std::tuple<int, bool, bool>> {};
+    : public ::testing::TestWithParam<std::tuple<int, bool, bool>> {
+ protected:
+  ClusterConfig Arm() const {
+    auto [regime, fused, pool] = GetParam();
+    ClusterConfig cfg = fused ? Config(pool) : PerOp(Config(pool));
+    return WithRegime(cfg, regime);
+  }
+  ClusterConfig Reference() const {
+    return WithRegime(PerOp(Config(false)), std::get<0>(GetParam()));
+  }
+};
 
 TEST_P(IterateBitIdentityTest, KMeans) {
-  ScopedEnv neutral("MATRYOSHKA_NATIVE_ITER", nullptr);
-  auto [regime, fusion, pool] = GetParam();
-  ClusterConfig base = WithRegime(WithFusion(Config(pool), fusion), regime);
-  auto off = RunKMeansArm(WithNativeIter(base, false));
-  auto on = RunKMeansArm(WithNativeIter(base, true));
-  ExpectSameKMeans(off, on);
-  ExpectIterationCounters(off.metrics, false);
-  if (on.ok) ExpectIterationCounters(on.metrics, true);
+  auto ref = RunKMeansArm(Reference());
+  auto got = RunKMeansArm(Arm());
+  ExpectSameKMeans(ref, got);
+  if (got.ok) ExpectIterationCounters(got.metrics);
 }
 
 TEST_P(IterateBitIdentityTest, PageRank) {
-  ScopedEnv neutral("MATRYOSHKA_NATIVE_ITER", nullptr);
-  auto [regime, fusion, pool] = GetParam();
-  ClusterConfig base = WithRegime(WithFusion(Config(pool), fusion), regime);
-  auto off = RunPageRankArm(WithNativeIter(base, false));
-  auto on = RunPageRankArm(WithNativeIter(base, true));
-  ASSERT_EQ(off.ok, on.ok);
-  ASSERT_EQ(off.groups.size(), on.groups.size());
-  for (std::size_t i = 0; i < off.groups.size(); ++i) {
-    EXPECT_EQ(off.groups[i].first, on.groups[i].first);
-    EXPECT_EQ(off.groups[i].second, on.groups[i].second)
-        << "group " << off.groups[i].first;
+  auto ref = RunPageRankArm(Reference());
+  auto got = RunPageRankArm(Arm());
+  ASSERT_EQ(ref.ok, got.ok);
+  ASSERT_EQ(ref.groups.size(), got.groups.size());
+  for (std::size_t i = 0; i < ref.groups.size(); ++i) {
+    EXPECT_EQ(ref.groups[i].first, got.groups[i].first);
+    EXPECT_EQ(ref.groups[i].second, got.groups[i].second)
+        << "group " << ref.groups[i].first;
   }
-  ExpectSameMetrics(off.metrics, on.metrics);
-  ExpectIterationCounters(off.metrics, false);
-  if (on.ok) ExpectIterationCounters(on.metrics, true);
+  ExpectSameMetrics(ref.metrics, got.metrics);
+  if (got.ok) ExpectIterationCounters(got.metrics);
 }
 
 TEST_P(IterateBitIdentityTest, ConnectedComponents) {
-  ScopedEnv neutral("MATRYOSHKA_NATIVE_ITER", nullptr);
-  auto [regime, fusion, pool] = GetParam();
-  ClusterConfig base = WithRegime(WithFusion(Config(pool), fusion), regime);
-  auto off = RunCcArm(WithNativeIter(base, false));
-  auto on = RunCcArm(WithNativeIter(base, true));
-  ASSERT_EQ(off.ok, on.ok);
-  EXPECT_EQ(off.key_partitions, on.key_partitions);
-  ASSERT_EQ(off.partitions.size(), on.partitions.size());
-  for (std::size_t i = 0; i < off.partitions.size(); ++i) {
-    EXPECT_EQ(off.partitions[i], on.partitions[i]) << "partition " << i;
+  auto ref = RunCcArm(Reference());
+  auto got = RunCcArm(Arm());
+  ASSERT_EQ(ref.ok, got.ok);
+  EXPECT_EQ(ref.key_partitions, got.key_partitions);
+  ASSERT_EQ(ref.partitions.size(), got.partitions.size());
+  for (std::size_t i = 0; i < ref.partitions.size(); ++i) {
+    EXPECT_EQ(ref.partitions[i], got.partitions[i]) << "partition " << i;
   }
-  ExpectSameMetrics(off.metrics, on.metrics);
-  ExpectIterationCounters(off.metrics, false);
-  if (on.ok) ExpectIterationCounters(on.metrics, true);
+  ExpectSameMetrics(ref.metrics, got.metrics);
+  if (got.ok) ExpectIterationCounters(got.metrics);
 }
 
 std::string BitIdentityArmName(
@@ -314,11 +281,127 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Bool()),
     BitIdentityArmName);
 
+// ---------- The convergence helpers replay the sequences they replace ----
+
+using Pair = std::pair<int64_t, int64_t>;
+
+/// A key-partitioned narrow-op output: pending, or checkpointed under the
+/// recovery regime, whose probes then fire on the filter and map outputs
+/// too.
+Bag<Pair> ReplayInput(Cluster* c) {
+  std::vector<Pair> data;
+  for (int64_t i = 0; i < 600; ++i) data.emplace_back(i % 13, i);
+  auto keyed = engine::PartitionByKey(Parallelize(c, data, 8), 8);
+  return engine::MapValues(keyed, [](int64_t v) { return v + 1; });
+}
+
+/// regime x pool x selectivity; selectivity is the share of elements the
+/// predicate drops: none, a third, all.
+class ConvergenceReplayTest
+    : public ::testing::TestWithParam<std::tuple<int, bool, int>> {
+ protected:
+  ClusterConfig Cfg() const {
+    return WithRegime(Config(std::get<1>(GetParam())),
+                      std::get<0>(GetParam()));
+  }
+  bool Keep(const Pair& p) const {
+    switch (std::get<2>(GetParam())) {
+      case 0:
+        return true;
+      case 1:
+        return p.second % 3 != 0;
+      default:
+        return false;
+    }
+  }
+};
+
+struct ReplayOutcome {
+  bool ok = false;
+  int64_t count = 0;
+  std::vector<std::vector<Pair>> partitions;
+  int64_t key_partitions = 0;
+  int lineage_depth = 0;
+  Metrics metrics;
+};
+
+ReplayOutcome Snapshot(const Cluster& c, const Bag<Pair>& mapped,
+                       int64_t count) {
+  ReplayOutcome out;
+  out.ok = c.ok();
+  out.count = count;
+  out.partitions = mapped.partitions();
+  out.key_partitions = mapped.key_partitions();
+  out.lineage_depth = mapped.lineage_depth();
+  out.metrics = c.metrics();
+  return out;
+}
+
+TEST_P(ConvergenceReplayTest, FilterMapCount) {
+  auto keep = [this](const Pair& p) { return Keep(p); };
+  auto swap = [](const Pair& p) { return Pair(p.second, p.first); };
+
+  Cluster seq(Cfg());
+  Bag<Pair> mapped = engine::Map(engine::Filter(ReplayInput(&seq), keep),
+                                 swap);
+  const int64_t count = engine::Count(mapped);
+  const ReplayOutcome want = Snapshot(seq, mapped, count);
+
+  Cluster fused(Cfg());
+  auto r = engine::FilterMapCount(ReplayInput(&fused), keep, swap);
+  const ReplayOutcome got = Snapshot(fused, r.mapped, r.count);
+
+  ASSERT_EQ(want.ok, got.ok);
+  if (std::get<0>(GetParam()) == 2 && want.count > 0) {
+    // The replay must cover the real probe path, not only its early-outs.
+    EXPECT_GE(want.metrics.checkpoints_written, 3);
+  }
+  EXPECT_EQ(want.count, got.count);
+  EXPECT_EQ(want.partitions, got.partitions);
+  EXPECT_EQ(want.key_partitions, got.key_partitions);
+  EXPECT_EQ(want.lineage_depth, got.lineage_depth);
+  ExpectSameMetrics(want.metrics, got.metrics);
+  EXPECT_EQ(want.metrics.convergence_checks_in_engine, 0);
+  EXPECT_EQ(got.metrics.convergence_checks_in_engine, got.ok ? 1 : 0);
+}
+
+TEST_P(ConvergenceReplayTest, AnyMatch) {
+  auto keep = [this](const Pair& p) { return Keep(p); };
+
+  Cluster seq(Cfg());
+  const bool want = engine::NotEmpty(engine::Filter(ReplayInput(&seq), keep));
+
+  Cluster fused(Cfg());
+  const bool got = engine::AnyMatch(ReplayInput(&fused), keep);
+
+  ASSERT_EQ(seq.ok(), fused.ok());
+  EXPECT_EQ(want, got);
+  EXPECT_EQ(got, std::get<2>(GetParam()) != 2 && fused.ok());
+  ExpectSameMetrics(seq.metrics(), fused.metrics());
+  EXPECT_EQ(fused.metrics().convergence_checks_in_engine,
+            fused.ok() ? 1 : 0);
+}
+
+std::string ReplayArmName(
+    const ::testing::TestParamInfo<std::tuple<int, bool, int>>& info) {
+  static const char* kRegimes[] = {"clean", "faults", "recovery"};
+  static const char* kDrops[] = {"drop_none", "drop_third", "drop_all"};
+  std::string n = kRegimes[std::get<0>(info.param)];
+  n += std::get<1>(info.param) ? "_pool_" : "_serial_";
+  n += kDrops[std::get<2>(info.param)];
+  return n;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Regimes, ConvergenceReplayTest,
+    ::testing::Combine(::testing::Values(0, 1, 2), ::testing::Bool(),
+                       ::testing::Values(0, 1, 2)),
+    ReplayArmName);
+
 // ---------- Engine-level Iterate semantics ----------
 
 TEST(IterateTest, RunsUntilConvergedAndCountsIterations) {
-  ScopedEnv neutral("MATRYOSHKA_NATIVE_ITER", nullptr);
-  Cluster c(WithNativeIter(Config(false), true));
+  Cluster c(Config(false));
   engine::IterateOptions opt;
   opt.max_iterations = 100;
   opt.label = "countdown";
@@ -336,47 +419,29 @@ TEST(IterateTest, RunsUntilConvergedAndCountsIterations) {
   EXPECT_EQ(c.metrics().native_iterations, 5);
 }
 
-TEST(IterateTest, LegacyArmRunsTheSameLoopWithoutCounters) {
-  ScopedEnv neutral("MATRYOSHKA_NATIVE_ITER", nullptr);
-  Cluster c(WithNativeIter(Config(false), false));
-  engine::IterateOptions opt;
-  opt.max_iterations = 100;
-  int64_t state = engine::Iterate(
-      &c, int64_t{5}, [](int64_t s, int64_t) { return s - 1; },
-      [](int64_t* s, int64_t) { return *s == 0; }, opt);
-  EXPECT_TRUE(c.ok());
-  EXPECT_EQ(state, 0);
-  EXPECT_EQ(c.metrics().native_iterations, 0);
-}
-
 TEST(IterateTest, ExhaustedBudgetFailsWithLoopLabel) {
-  ScopedEnv neutral("MATRYOSHKA_NATIVE_ITER", nullptr);
-  for (bool native : {false, true}) {
-    Cluster c(WithNativeIter(Config(false), native));
-    engine::IterateOptions opt;
-    opt.max_iterations = 3;
-    opt.label = "spin";
-    int64_t calls = 0;
-    engine::Iterate(
-        &c, int64_t{0},
-        [&calls](int64_t s, int64_t) {
-          ++calls;
-          return s;
-        },
-        [](int64_t*, int64_t) { return false; }, opt);
-    EXPECT_FALSE(c.ok());
-    EXPECT_EQ(c.status().code(), StatusCode::kInternal)
-        << c.status().ToString();
-    EXPECT_NE(c.status().ToString().find(
-                  "spin did not converge within max_iterations = 3"),
-              std::string::npos)
-        << c.status().ToString();
-    EXPECT_EQ(calls, 3);
-  }
+  Cluster c(Config(false));
+  engine::IterateOptions opt;
+  opt.max_iterations = 3;
+  opt.label = "spin";
+  int64_t calls = 0;
+  engine::Iterate(
+      &c, int64_t{0},
+      [&calls](int64_t s, int64_t) {
+        ++calls;
+        return s;
+      },
+      [](int64_t*, int64_t) { return false; }, opt);
+  EXPECT_FALSE(c.ok());
+  EXPECT_EQ(c.status().code(), StatusCode::kInternal) << c.status().ToString();
+  EXPECT_NE(c.status().ToString().find(
+                "spin did not converge within max_iterations = 3"),
+            std::string::npos)
+      << c.status().ToString();
+  EXPECT_EQ(calls, 3);
 }
 
 TEST(IterateTest, ZeroIterationBudgetFailsByDefault) {
-  ScopedEnv neutral("MATRYOSHKA_NATIVE_ITER", nullptr);
   Cluster c(Config(false));
   int64_t calls = 0;
   engine::IterateOptions opt;
@@ -393,7 +458,6 @@ TEST(IterateTest, ZeroIterationBudgetFailsByDefault) {
 }
 
 TEST(IterateTest, ZeroIterationBudgetCanExitQuietly) {
-  ScopedEnv neutral("MATRYOSHKA_NATIVE_ITER", nullptr);
   Cluster c(Config(false));
   engine::IterateOptions opt;
   opt.max_iterations = 0;
@@ -407,24 +471,20 @@ TEST(IterateTest, ZeroIterationBudgetCanExitQuietly) {
 }
 
 TEST(IterateTest, ConnectedComponentsZeroBudgetKeepsSelfLabels) {
-  ScopedEnv neutral("MATRYOSHKA_NATIVE_ITER", nullptr);
-  // The old driver for-loop with max_iterations = 0 skipped the loop
-  // without failing; the native loop must preserve that edge case.
-  for (bool native : {false, true}) {
-    Cluster c(WithNativeIter(Config(false), native));
-    auto edges = datagen::GenerateComponents(2, 5, 2, 37);
-    auto bag = Parallelize(&c, edges, 4);
-    auto got = engine::Collect(workloads::ConnectedComponents(bag, 0));
-    ASSERT_TRUE(c.ok()) << c.status().ToString();
-    EXPECT_EQ(got.size(), 10u);
-    for (const auto& [comp, v] : got) EXPECT_EQ(comp, v);
-  }
+  // A driver for-loop with max_iterations = 0 skips the loop without
+  // failing; the native loop must preserve that edge case.
+  Cluster c(Config(false));
+  auto edges = datagen::GenerateComponents(2, 5, 2, 37);
+  auto bag = Parallelize(&c, edges, 4);
+  auto got = engine::Collect(workloads::ConnectedComponents(bag, 0));
+  ASSERT_TRUE(c.ok()) << c.status().ToString();
+  EXPECT_EQ(got.size(), 10u);
+  for (const auto& [comp, v] : got) EXPECT_EQ(comp, v);
 }
 
 TEST(IterateTest, LiftedWhileBudgetFailureMatchesAcrossArms) {
-  ScopedEnv neutral("MATRYOSHKA_NATIVE_ITER", nullptr);
-  for (bool native : {false, true}) {
-    Cluster c(WithNativeIter(Config(false), native));
+  for (const ClusterConfig& cfg : {PerOp(Config(false)), Config(false)}) {
+    Cluster c(cfg);
     auto params = Parallelize(&c, std::vector<int64_t>{1}, 1);
     auto init = core::LiftFlatBag(params);
     core::LiftedWhileScalar(
@@ -450,32 +510,27 @@ TEST(IterateTest, LiftedWhileBudgetFailureMatchesAcrossArms) {
 // ---------- Broadcast residency (invariant hoisting) ----------
 
 TEST(BroadcastResidencyTest, SecondBroadcastOfSamePayloadIsFree) {
-  ScopedEnv neutral("MATRYOSHKA_NATIVE_ITER", nullptr);
-  for (bool native : {false, true}) {
-    Cluster c(WithNativeIter(Config(false), native));
-    std::vector<std::pair<int64_t, int64_t>> left_kv, right_kv;
-    for (int64_t i = 0; i < 256; ++i) left_kv.emplace_back(i % 16, i);
-    for (int64_t i = 0; i < 16; ++i) right_kv.emplace_back(i, i * 10);
-    auto left = Parallelize(&c, left_kv, 8);
-    auto right = Parallelize(&c, right_kv, 2);
+  Cluster c(Config(false));
+  std::vector<std::pair<int64_t, int64_t>> left_kv, right_kv;
+  for (int64_t i = 0; i < 256; ++i) left_kv.emplace_back(i % 16, i);
+  for (int64_t i = 0; i < 16; ++i) right_kv.emplace_back(i, i * 10);
+  auto left = Parallelize(&c, left_kv, 8);
+  auto right = Parallelize(&c, right_kv, 2);
 
-    (void)engine::Collect(engine::BroadcastJoin(left, right));
-    ASSERT_TRUE(c.ok());
-    const int64_t bytes_once = c.metrics().broadcast_bytes;
-    ASSERT_GT(bytes_once, 0);
+  (void)engine::Collect(engine::BroadcastJoin(left, right));
+  ASSERT_TRUE(c.ok());
+  const int64_t bytes_once = c.metrics().broadcast_bytes;
+  ASSERT_GT(bytes_once, 0);
 
-    // Same payload again: resident, no re-transfer — in EITHER arm, so the
-    // knob cannot change broadcast_bytes. Only the knob-on arm reports it.
-    (void)engine::Collect(engine::BroadcastJoin(left, right));
-    ASSERT_TRUE(c.ok());
-    EXPECT_EQ(c.metrics().broadcast_bytes, bytes_once);
-    EXPECT_EQ(c.metrics().hoisted_broadcast_reuses, native ? 1 : 0);
-  }
+  // Same payload again: resident, no re-transfer, one reuse counted.
+  (void)engine::Collect(engine::BroadcastJoin(left, right));
+  ASSERT_TRUE(c.ok());
+  EXPECT_EQ(c.metrics().broadcast_bytes, bytes_once);
+  EXPECT_EQ(c.metrics().hoisted_broadcast_reuses, 1);
 }
 
 TEST(BroadcastResidencyTest, ResetClearsResidency) {
-  ScopedEnv neutral("MATRYOSHKA_NATIVE_ITER", nullptr);
-  Cluster c(WithNativeIter(Config(false), true));
+  Cluster c(Config(false));
   auto run_join = [&c]() {
     std::vector<std::pair<int64_t, int64_t>> left_kv, right_kv;
     for (int64_t i = 0; i < 128; ++i) left_kv.emplace_back(i % 8, i);
@@ -495,20 +550,17 @@ TEST(BroadcastResidencyTest, ResetClearsResidency) {
 }
 
 TEST(BroadcastResidencyTest, PageRankReusesLoopInvariantClosure) {
-  ScopedEnv neutral("MATRYOSHKA_NATIVE_ITER", nullptr);
   // The Sec. 5.1 init-weight closure is broadcast by every iteration's
   // MapWithClosure; from iteration 2 on it must be found resident.
-  ClusterConfig cfg = WithNativeIter(Config(false), true);
-  auto on = RunPageRankArm(cfg);
-  ASSERT_TRUE(on.ok);
-  EXPECT_GT(on.metrics.hoisted_broadcast_reuses, 0);
+  auto run = RunPageRankArm(Config(false));
+  ASSERT_TRUE(run.ok);
+  EXPECT_GT(run.metrics.hoisted_broadcast_reuses, 0);
 }
 
 TEST(BroadcastResidencyTest, HyperparameterKMeansReusesSharedPoints) {
-  ScopedEnv neutral("MATRYOSHKA_NATIVE_ITER", nullptr);
   // Hyperparameter mode: every run clusters the SAME shared point set; the
   // per-iteration cross against it must pay the broadcast only once.
-  Cluster c(WithNativeIter(Config(false), true));
+  Cluster c(Config(false));
   auto points = datagen::GeneratePoints(400, 3, 17);
   auto bag = Parallelize(&c, points, 8);
   workloads::KMeansParams params;
@@ -535,59 +587,14 @@ std::string CcTraceFor(const ClusterConfig& cfg) {
   return obs::ChromeTraceToString(rec);
 }
 
-TEST(IterateTraceTest, ByteIdenticalAcrossFusionArmsWithinEachKnobArm) {
-  ScopedEnv neutral("MATRYOSHKA_NATIVE_ITER", nullptr);
-  for (bool native : {false, true}) {
-    ClusterConfig base = WithNativeIter(Config(false), native);
-    EXPECT_EQ(CcTraceFor(WithFusion(base, false)),
-              CcTraceFor(WithFusion(base, true)))
-        << "native = " << native;
-  }
+TEST(IterateTraceTest, ByteIdenticalAcrossChainDepths) {
+  EXPECT_EQ(CcTraceFor(PerOp(Config(false))), CcTraceFor(Config(false)));
 }
 
 TEST(IterateTraceTest, NativeArmEmitsIterateSpans) {
-  ScopedEnv neutral("MATRYOSHKA_NATIVE_ITER", nullptr);
-  ClusterConfig base = Config(false);
-  const std::string off = CcTraceFor(WithNativeIter(base, false));
-  const std::string on = CcTraceFor(WithNativeIter(base, true));
-  EXPECT_EQ(off.find("connected-components[iter"), std::string::npos);
-  EXPECT_NE(on.find("connected-components[iter 0]"), std::string::npos);
+  const std::string trace = CcTraceFor(Config(false));
+  EXPECT_NE(trace.find("connected-components[iter 0]"), std::string::npos);
 }
-
-// ---------- MATRYOSHKA_NATIVE_ITER parsing ----------
-
-TEST(NativeIterEnvTest, OverridesConfiguredValueEitherWay) {
-  {
-    ScopedEnv env("MATRYOSHKA_NATIVE_ITER", "0");
-    Cluster c(WithNativeIter(Config(false), true));
-    EXPECT_FALSE(c.config().iteration.native);
-  }
-  {
-    ScopedEnv env("MATRYOSHKA_NATIVE_ITER", "1");
-    Cluster c(WithNativeIter(Config(false), false));
-    EXPECT_TRUE(c.config().iteration.native);
-  }
-}
-
-TEST(NativeIterEnvTest, UnsetKeepsConfiguredDefaults) {
-  ScopedEnv env("MATRYOSHKA_NATIVE_ITER", nullptr);
-  Cluster on(Config(false));
-  EXPECT_TRUE(on.config().iteration.native);  // default arm is native
-  Cluster off(WithNativeIter(Config(false), false));
-  EXPECT_FALSE(off.config().iteration.native);
-}
-
-#if defined(GTEST_HAS_DEATH_TEST)
-TEST(NativeIterEnvDeathTest, RejectsNonBinaryValues) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  for (const char* junk : {"", "2", "01", "true", "yes", " 1"}) {
-    ScopedEnv env("MATRYOSHKA_NATIVE_ITER", junk);
-    EXPECT_DEATH({ Cluster c(Config(false)); },
-                 "MATRYOSHKA_NATIVE_ITER.*not a valid binary override")
-        << "value: \"" << junk << "\"";
-  }
-}
-#endif  // GTEST_HAS_DEATH_TEST
 
 }  // namespace
 }  // namespace matryoshka

@@ -5,11 +5,12 @@
 // from the driver thread only, so nothing may depend on execution order.
 //
 // The FusionDeterminismTest section extends the same contract to the fused
-// narrow-op layer (ClusterConfig::fusion): with fusion on, every narrow op
-// and every wide-op/action forcing point must produce bit-identical data
-// (contents AND order, key_partitions), bit-identical Metrics, and
-// byte-identical exported traces versus the eager path — clean, under an
-// active FaultPlan, and under a RecoveryPolicy with auto-checkpointing.
+// narrow-op layer: with default chains, every narrow op and every
+// wide-op/action forcing point must produce bit-identical data (contents
+// AND order, key_partitions), bit-identical Metrics, and byte-identical
+// exported traces versus the per-op reference (fusion.max_chain_depth = 1,
+// where no two narrow ops share a pass) — clean, under an active
+// FaultPlan, and under a RecoveryPolicy with auto-checkpointing.
 
 #include <gtest/gtest.h>
 
@@ -409,18 +410,16 @@ TEST(ParallelDeterminismTest, PoolDoesNotPerturbFaultInjection) {
 
 // --- Fusion bit-identity --------------------------------------------------
 //
-// ClusterConfig::fusion defaults on, so every test above already runs the
-// fused path. The checks below pin the A/B contract explicitly: fusion off
-// is the eager pre-fusion engine, fusion on must match it bit for bit on
-// data, metrics, and traces — with all charging done at composition time.
+// Every test above already runs default chains. The checks below pin the
+// fusion contract explicitly: at max_chain_depth = 1 every narrow op runs
+// as its own pass, and default chains must match that per-op reference bit
+// for bit on data, metrics, and traces — with all charging done at
+// composition time.
 
-ClusterConfig WithFusion(ClusterConfig cfg, bool enabled) {
-  cfg.fusion.enabled = enabled;
-  return cfg;
-}
-
-ClusterConfig WithStaticFeeds(ClusterConfig cfg, bool enabled) {
-  cfg.fusion.static_feeds = enabled;
+/// The per-op reference: a chain depth of 1 forces every narrow op's
+/// output before the next op composes, so no two ops share a pass.
+ClusterConfig PerOp(ClusterConfig cfg) {
+  cfg.fusion.max_chain_depth = 1;
   return cfg;
 }
 
@@ -451,14 +450,12 @@ PairBag NarrowChain(Cluster* c) {
   return MapValues(filtered, [](int64_t v) { return v * 7; });
 }
 
-/// Runs `make_op` (Cluster* -> Bag) with fusion off and on (the fused arm
-/// under BOTH feed representations: legacy type-erased std::function chains
-/// and static CRTP chains) — pool off/on × {clean, active FaultPlan,
-/// FaultPlan + RecoveryPolicy with auto-checkpointing} — and requires
-/// bit-identical bags (contents AND order, key_partitions) and full Metrics
-/// each time. Metrics are compared BEFORE the fused result is materialized:
-/// the fusion contract charges everything at composition time, and forcing
-/// must charge nothing — under either feed representation.
+/// Runs `make_op` (Cluster* -> Bag) per-op and with default chains — pool
+/// off/on × {clean, active FaultPlan, FaultPlan + RecoveryPolicy with
+/// auto-checkpointing} — and requires bit-identical bags (contents AND
+/// order, key_partitions) and full Metrics each time. Metrics are compared
+/// BEFORE the fused result is materialized: the fusion contract charges
+/// everything at composition time, and forcing must charge nothing.
 template <typename MakeOp>
 void ExpectFusionBitIdentical(const MakeOp& make_op) {
   for (int regime = 0; regime < 3; ++regime) {
@@ -466,29 +463,22 @@ void ExpectFusionBitIdentical(const MakeOp& make_op) {
       ClusterConfig base = Config(parallel);
       if (regime == 1) base = WithFaults(base);
       if (regime == 2) base = WithRecovery(base);
-      Cluster off(WithFusion(base, false));
-      Cluster erased(WithStaticFeeds(WithFusion(base, true), false));
-      Cluster fused(WithStaticFeeds(WithFusion(base, true), true));
-      auto eager_bag = make_op(&off);
-      auto erased_bag = make_op(&erased);
+      Cluster per_op(PerOp(base));
+      Cluster fused(base);
+      auto per_op_bag = make_op(&per_op);
       auto fused_bag = make_op(&fused);
-      ASSERT_EQ(off.ok(), erased.ok())
+      ASSERT_EQ(per_op.ok(), fused.ok())
           << "regime " << regime << " pool " << parallel;
-      ASSERT_EQ(off.ok(), fused.ok())
-          << "regime " << regime << " pool " << parallel;
-      ExpectSameMetrics(off.metrics(), erased.metrics());
-      ExpectSameMetrics(off.metrics(), fused.metrics());
-      ExpectBitIdenticalBags(eager_bag, erased_bag);
-      ExpectBitIdenticalBags(eager_bag, fused_bag);
+      ExpectSameMetrics(per_op.metrics(), fused.metrics());
+      ExpectBitIdenticalBags(per_op_bag, fused_bag);
       // ExpectBitIdenticalBags forced any pending chain; that must not have
-      // added a single charge on either fused arm.
-      ExpectSameMetrics(off.metrics(), erased.metrics());
-      ExpectSameMetrics(off.metrics(), fused.metrics());
+      // added a single charge.
+      ExpectSameMetrics(per_op.metrics(), fused.metrics());
     }
   }
 }
 
-// Per narrow op: composition must match eager execution exactly.
+// Per narrow op: composition must match per-op execution exactly.
 
 TEST(FusionDeterminismTest, MapChainBitIdentical) {
   ExpectFusionBitIdentical([](Cluster* c) {
@@ -534,7 +524,7 @@ TEST(FusionDeterminismTest, FlatMapValuesBitIdentical) {
 TEST(FusionDeterminismTest, ZipWithUniqueIdBitIdentical) {
   ExpectFusionBitIdentical([](Cluster* c) {
     // Composed onto a size-preserving chain: stream offsets must equal the
-    // materialized offsets, so the assigned ids match the eager path.
+    // materialized offsets, so the assigned ids match the per-op path.
     auto mapped = Map(Keys(MakePairs(c)), [](int64_t k) { return k * 3; });
     auto zipped = ZipWithUniqueId(mapped);
     return Map(zipped, [](const std::pair<uint64_t, int64_t>& p) {
@@ -569,7 +559,7 @@ TEST(FusionDeterminismTest, MapPartitionsForcesPendingInput) {
 
 TEST(FusionDeterminismTest, CardinalityChangingChainBitIdentical) {
   // filter -> map -> sample: every op after the filter composes on a forced
-  // boundary; the data and charges must still match eager exactly.
+  // boundary; the data and charges must still match per-op exactly.
   ExpectFusionBitIdentical([](Cluster* c) {
     auto filtered =
         Filter(MakePairs(c), [](const std::pair<int64_t, int64_t>& p) {
@@ -584,34 +574,32 @@ TEST(FusionDeterminismTest, CardinalityChangingChainBitIdentical) {
 
 TEST(FusionDeterminismTest, DepthCapForcesBoundary) {
   // A chain longer than max_chain_depth must force mid-chain and keep both
-  // data and metrics identical to eager — under either feed representation.
-  for (bool static_feeds : {false, true}) {
-    for (bool parallel : {false, true}) {
-      ClusterConfig on_cfg =
-          WithStaticFeeds(WithFusion(Config(parallel), true), static_feeds);
-      on_cfg.fusion.max_chain_depth = 2;
-      Cluster off(WithFusion(Config(parallel), false));
-      Cluster on(on_cfg);
-      auto program = [](Cluster* c) {
-        auto bag = MakePairs(c);
-        for (int i = 0; i < 5; ++i) {
-          bag = Map(bag, [](const std::pair<int64_t, int64_t>& p) {
-            return std::pair<int64_t, int64_t>(p.first, p.second + 1);
-          });
-        }
-        return bag;
-      };
-      auto eager = program(&off);
-      auto fused = program(&on);
-      ExpectSameMetrics(off.metrics(), on.metrics());
-      ExpectBitIdenticalBags(eager, fused);
-    }
+  // data and metrics identical to per-op execution. The loop re-assigns a
+  // plain Bag, so every op after the first also crosses the erased hop.
+  for (bool parallel : {false, true}) {
+    ClusterConfig capped_cfg = Config(parallel);
+    capped_cfg.fusion.max_chain_depth = 2;
+    Cluster per_op(PerOp(Config(parallel)));
+    Cluster capped(capped_cfg);
+    auto program = [](Cluster* c) {
+      auto bag = MakePairs(c);
+      for (int i = 0; i < 5; ++i) {
+        bag = Map(bag, [](const std::pair<int64_t, int64_t>& p) {
+          return std::pair<int64_t, int64_t>(p.first, p.second + 1);
+        });
+      }
+      return bag;
+    };
+    auto reference = program(&per_op);
+    auto fused = program(&capped);
+    ExpectSameMetrics(per_op.metrics(), capped.metrics());
+    ExpectBitIdenticalBags(reference, fused);
   }
 }
 
 // Per wide-op forcing point: a pending chain consumed by each wide operator
-// must materialize to exactly the eager input, leaving the wide op's output
-// and charges bit-identical.
+// must materialize to exactly the per-op input, leaving the wide op's
+// output and charges bit-identical.
 
 TEST(FusionDeterminismTest, ForcedByRepartition) {
   ExpectFusionBitIdentical(
@@ -706,14 +694,13 @@ TEST(FusionDeterminismTest, ForcedByCheckpoint) {
 
 TEST(FusionDeterminismTest, ActionsForceAndMatch) {
   // Count / NotEmpty / Reduce / Collect / TopK on a pending chain must
-  // return the eager values and charge the eager metrics.
+  // return the per-op values and charge the per-op metrics.
   for (int regime = 0; regime < 3; ++regime) {
     ClusterConfig base = Config(true);
     if (regime == 1) base = WithFaults(base);
     if (regime == 2) base = WithRecovery(base);
-    Cluster off(WithFusion(base, false));
-    Cluster erased(WithStaticFeeds(WithFusion(base, true), false));
-    Cluster fused(WithStaticFeeds(WithFusion(base, true), true));
+    Cluster per_op(PerOp(base));
+    Cluster fused(base);
     auto run = [](Cluster* c) {
       auto chain = NarrowChain(c);
       auto keys = Keys(NarrowChain(c));
@@ -724,49 +711,35 @@ TEST(FusionDeterminismTest, ActionsForceAndMatch) {
           Reduce(keys, [](int64_t a, int64_t b) { return a + b; }).value_or(0),
           Collect(NarrowChain(c)), TopK(keys, 5, std::less<int64_t>()));
     };
-    const auto expected = run(&off);
-    EXPECT_EQ(expected, run(&erased)) << "regime " << regime;
-    EXPECT_EQ(expected, run(&fused)) << "regime " << regime;
-    ExpectSameMetrics(off.metrics(), erased.metrics());
-    ExpectSameMetrics(off.metrics(), fused.metrics());
+    EXPECT_EQ(run(&per_op), run(&fused)) << "regime " << regime;
+    ExpectSameMetrics(per_op.metrics(), fused.metrics());
   }
 }
 
 // Suite level: the full operator program, the fault program, and the
-// recovery program must be outcome- and metric-identical across fusion arms.
+// recovery program must be outcome- and metric-identical across chain
+// depths.
 
 TEST(FusionDeterminismTest, FusionDoesNotPerturbSuiteResultsOrCostModel) {
-  SuiteOutcome eager = RunSuite(WithFusion(Config(true), false));
-  ASSERT_TRUE(eager.ok);
-  EXPECT_GT(eager.count, 0);
-  for (bool static_feeds : {false, true}) {
-    SuiteOutcome fused = RunSuite(
-        WithStaticFeeds(WithFusion(Config(true), true), static_feeds));
-    ExpectSameOutcome(eager, fused);
-  }
+  SuiteOutcome per_op = RunSuite(PerOp(Config(true)));
+  ASSERT_TRUE(per_op.ok);
+  EXPECT_GT(per_op.count, 0);
+  ExpectSameOutcome(per_op, RunSuite(Config(true)));
 }
 
 TEST(FusionDeterminismTest, FusionDoesNotPerturbFaultInjection) {
-  SuiteOutcome eager = RunSuite(WithFaults(WithFusion(Config(true), false)));
-  ASSERT_TRUE(eager.ok);
-  EXPECT_GT(eager.metrics.failed_tasks, 0);
-  for (bool static_feeds : {false, true}) {
-    SuiteOutcome fused = RunSuite(WithFaults(
-        WithStaticFeeds(WithFusion(Config(true), true), static_feeds)));
-    ExpectSameOutcome(eager, fused);
-  }
+  SuiteOutcome per_op = RunSuite(WithFaults(PerOp(Config(true))));
+  ASSERT_TRUE(per_op.ok);
+  EXPECT_GT(per_op.metrics.failed_tasks, 0);
+  ExpectSameOutcome(per_op, RunSuite(WithFaults(Config(true))));
 }
 
 TEST(FusionDeterminismTest, FusionDoesNotPerturbRecoveryFeatures) {
-  SuiteOutcome eager = RunSuite(WithRecovery(WithFusion(Config(true), false)));
-  ASSERT_TRUE(eager.ok);
-  EXPECT_EQ(eager.metrics.machines_lost, 1);
-  EXPECT_GT(eager.metrics.checkpoints_written, 0);
-  for (bool static_feeds : {false, true}) {
-    SuiteOutcome fused = RunSuite(WithRecovery(
-        WithStaticFeeds(WithFusion(Config(true), true), static_feeds)));
-    ExpectSameOutcome(eager, fused);
-  }
+  SuiteOutcome per_op = RunSuite(WithRecovery(PerOp(Config(true))));
+  ASSERT_TRUE(per_op.ok);
+  EXPECT_EQ(per_op.metrics.machines_lost, 1);
+  EXPECT_GT(per_op.metrics.checkpoints_written, 0);
+  ExpectSameOutcome(per_op, RunSuite(WithRecovery(Config(true))));
 }
 
 /// Exported trace of a narrow-chain + wide-op + action program (the obs
@@ -790,12 +763,7 @@ TEST(FusionDeterminismTest, TraceIsByteIdenticalAcrossFusionArms) {
     ClusterConfig base = Config(true);
     if (regime == 1) base = WithFaults(base);
     if (regime == 2) base = WithRecovery(base);
-    const std::string eager = FusionTraceFor(WithFusion(base, false));
-    EXPECT_EQ(eager, FusionTraceFor(WithStaticFeeds(WithFusion(base, true),
-                                                    false)))
-        << "regime " << regime;
-    EXPECT_EQ(eager,
-              FusionTraceFor(WithStaticFeeds(WithFusion(base, true), true)))
+    EXPECT_EQ(FusionTraceFor(PerOp(base)), FusionTraceFor(base))
         << "regime " << regime;
   }
 }

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "engine/bag.h"
+#include "engine/iterate.h"
 #include "engine/join.h"
 #include "engine/ops.h"
 #include "engine/recovery.h"
@@ -234,6 +235,39 @@ TEST(RecoveryTest, AutoCheckpointSkipsWhenTheWriteCostsMoreThanRecompute) {
     }
     return plain.metrics().simulated_time_s;
   }());
+}
+
+TEST(RecoveryTest, AutoCheckpointNeverWritesAnEmptyBag) {
+  // An empty bag has nothing to recompute and nothing to write. The policy
+  // fires only when the recompute strictly exceeds the write, so no empty
+  // output past the minimum lineage is "checkpointed" for free (which
+  // would also cut its lineage to 1) — neither a narrow op's nor the
+  // phantom ones the fused convergence helpers probe.
+  ClusterConfig cfg = SmallConfig();
+  cfg.recovery.auto_checkpoint = true;
+  cfg.recovery.min_checkpoint_lineage = 2;
+  cfg.recovery.checkpoint_bytes_per_s = 1e12;  // any nonempty bag fires
+  Cluster c(cfg);
+  auto bag = Parallelize(&c, PairData(2000, 32), 8);
+  auto none = [](const std::pair<int64_t, int64_t>&) { return false; };
+  auto empty = Filter(bag, none);
+  auto mapped = MapValues(empty, [](int64_t v) { return v + 1; });
+  EXPECT_EQ(Count(mapped), 0);
+  EXPECT_EQ(empty.lineage_depth(), 2);
+  EXPECT_EQ(mapped.lineage_depth(), 3);
+  auto fused = FilterMapCount(
+      bag, none, [](const std::pair<int64_t, int64_t>& p) { return p.first; });
+  EXPECT_EQ(fused.count, 0);
+  EXPECT_EQ(fused.mapped.lineage_depth(), 3);
+  EXPECT_FALSE(AnyMatch(bag, none));
+  ASSERT_TRUE(c.ok());
+  EXPECT_EQ(c.metrics().checkpoints_written, 0);
+  EXPECT_EQ(c.metrics().checkpoint_bytes, 0.0);
+
+  // Control: the same policy does checkpoint a nonempty output.
+  auto kept = MapValues(bag, [](int64_t v) { return v + 1; });
+  EXPECT_EQ(kept.lineage_depth(), 1);
+  EXPECT_EQ(c.metrics().checkpoints_written, 1);
 }
 
 // --- Driver-level retry ---

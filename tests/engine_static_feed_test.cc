@@ -1,19 +1,17 @@
-// The static feed representation (engine/fused_feed.h) and its process-wide
-// switches: strict MATRYOSHKA_FUSION / MATRYOSHKA_STATIC_FEEDS parsing, the
-// forced boundaries (inexact counts, depth cap) under static chains, the
-// sibling-memoization re-rooting contract, and a compile guard that the
-// narrow-op path stays usable for move-only (non-spillable) element types.
+// The static feed representation (engine/fused_feed.h): the forced
+// boundaries (inexact counts, depth cap) under static chains, the
+// sibling-memoization re-rooting contract, the one erased hop a sliced
+// Bag<T> handle costs, and a compile guard that the narrow-op path stays
+// usable for move-only (non-spillable) element types.
 //
-// Bit-identity of the static arm against the type-erased and eager arms is
-// locked by engine_parallel_determinism_test; this file covers the
-// representation-specific mechanics those A/B sweeps cannot observe.
+// Bit-identity of default chains against the per-op reference
+// (max_chain_depth = 1) is locked by engine_parallel_determinism_test; this
+// file covers the representation-specific mechanics those sweeps cannot
+// observe.
 
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
 #include <numeric>
-#include <optional>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -40,38 +38,11 @@ inline std::size_t EstimateSize(const MoveOnlyElem&) {
 
 namespace {
 
-/// Sets an environment variable for the enclosing scope and restores the
-/// previous value (or unsets) on destruction, so tests stay hermetic even
-/// when scripts/check.sh runs the binary with the A/B switches exported.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    if (const char* old = std::getenv(name)) prev_ = old;
-    if (value == nullptr) {
-      ::unsetenv(name);
-    } else {
-      ::setenv(name, value, /*overwrite=*/1);
-    }
-  }
-  ~ScopedEnv() {
-    if (prev_.has_value()) {
-      ::setenv(name_, prev_->c_str(), /*overwrite=*/1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-
- private:
-  const char* name_;
-  std::optional<std::string> prev_;
-};
-
 ClusterConfig SerialConfig() {
   ClusterConfig cfg;
   cfg.num_machines = 2;
   cfg.cores_per_machine = 2;
   cfg.default_parallelism = 4;
-  cfg.fusion.enabled = true;
   return cfg;
 }
 
@@ -81,98 +52,34 @@ Bag<std::pair<int64_t, int64_t>> MakePairs(Cluster* c) {
   return Parallelize(c, std::move(data), 4);
 }
 
-// --- Strict "0"/"1" parsing of the process-wide A/B switches ---------------
-
-TEST(BinaryEnvOverrideTest, ExactZeroAndOneAreHonored) {
-  {
-    ScopedEnv fusion("MATRYOSHKA_FUSION", "0");
-    ScopedEnv feeds("MATRYOSHKA_STATIC_FEEDS", "1");
-    Cluster c(SerialConfig());
-    EXPECT_FALSE(c.config().fusion.enabled);
-    EXPECT_TRUE(c.config().fusion.static_feeds);
-  }
-  {
-    ScopedEnv fusion("MATRYOSHKA_FUSION", "1");
-    ScopedEnv feeds("MATRYOSHKA_STATIC_FEEDS", "0");
-    ClusterConfig cfg = SerialConfig();
-    cfg.fusion.enabled = false;  // env must override the config either way
-    Cluster c(cfg);
-    EXPECT_TRUE(c.config().fusion.enabled);
-    EXPECT_FALSE(c.config().fusion.static_feeds);
-  }
-}
-
-TEST(BinaryEnvOverrideTest, UnsetKeepsConfiguredDefaults) {
-  ScopedEnv fusion("MATRYOSHKA_FUSION", nullptr);
-  ScopedEnv feeds("MATRYOSHKA_STATIC_FEEDS", nullptr);
-  Cluster c(SerialConfig());
-  EXPECT_TRUE(c.config().fusion.enabled);
-  EXPECT_TRUE(c.config().fusion.static_feeds);
-}
-
-#if defined(GTEST_HAS_DEATH_TEST)
-TEST(BinaryEnvOverrideDeathTest, JunkFusionValueFailsLoudly) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  for (const char* junk : {"", "2", "01", "true", "yes", " 1"}) {
-    ScopedEnv fusion("MATRYOSHKA_FUSION", junk);
-    EXPECT_DEATH({ Cluster c(SerialConfig()); },
-                 "MATRYOSHKA_FUSION.*not a valid binary override")
-        << "value '" << junk << "'";
-  }
-}
-
-TEST(BinaryEnvOverrideDeathTest, JunkStaticFeedsValueFailsLoudly) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  for (const char* junk : {"", "on", "10", "TRUE"}) {
-    ScopedEnv feeds("MATRYOSHKA_STATIC_FEEDS", junk);
-    EXPECT_DEATH({ Cluster c(SerialConfig()); },
-                 "MATRYOSHKA_STATIC_FEEDS.*not a valid binary override")
-        << "value '" << junk << "'";
-  }
-}
-#endif  // GTEST_HAS_DEATH_TEST
-
 // --- Forced boundaries under the static representation ---------------------
 
 TEST(StaticFeedTest, ChainOfNarrowOpsStaysPendingUntilForced) {
-  ScopedEnv fusion("MATRYOSHKA_FUSION", "1");
-  ScopedEnv feeds("MATRYOSHKA_STATIC_FEEDS", "1");
+  auto program = [](Cluster* c) {
+    auto s1 = Map(MakePairs(c), [](const std::pair<int64_t, int64_t>& p) {
+      return std::pair<int64_t, int64_t>(p.first, p.second + 1);
+    });
+    auto s2 = MapValues(s1, [](int64_t v) { return v * 3; });
+    auto s3 = Map(s2, [](const std::pair<int64_t, int64_t>& p) {
+      return std::pair<int64_t, int64_t>(p.first ^ 1, p.second);
+    });
+    return MapValues(s3, [](int64_t v) { return v - 2; });
+  };
   Cluster c(SerialConfig());
-  auto s1 = Map(MakePairs(&c), [](const std::pair<int64_t, int64_t>& p) {
-    return std::pair<int64_t, int64_t>(p.first, p.second + 1);
-  });
-  auto s2 = MapValues(s1, [](int64_t v) { return v * 3; });
-  auto s3 = Map(s2, [](const std::pair<int64_t, int64_t>& p) {
-    return std::pair<int64_t, int64_t>(p.first ^ 1, p.second);
-  });
-  auto s4 = MapValues(s3, [](int64_t v) { return v - 2; });
+  auto s4 = program(&c);
   EXPECT_TRUE(s4.pending());
   EXPECT_EQ(s4.pending_chain_ops(), 4);
 
-  {
-    // Env is latched at Cluster construction, so the eager reference needs
-    // its own cluster built under MATRYOSHKA_FUSION=0.
-    ScopedEnv off("MATRYOSHKA_FUSION", "0");
-    Cluster rebuilt(SerialConfig());
-    auto e4 = MapValues(
-        Map(MapValues(Map(MakePairs(&rebuilt),
-                          [](const std::pair<int64_t, int64_t>& p) {
-                            return std::pair<int64_t, int64_t>(p.first,
-                                                               p.second + 1);
-                          }),
-                      [](int64_t v) { return v * 3; }),
-            [](const std::pair<int64_t, int64_t>& p) {
-              return std::pair<int64_t, int64_t>(p.first ^ 1, p.second);
-            }),
-        [](int64_t v) { return v - 2; });
-    EXPECT_FALSE(e4.pending());
-    EXPECT_EQ(Collect(s4), Collect(e4));
-  }
+  // The per-op reference: at depth 1 every op forced its predecessor.
+  ClusterConfig per_op_cfg = SerialConfig();
+  per_op_cfg.fusion.max_chain_depth = 1;
+  Cluster per_op(per_op_cfg);
+  auto e4 = program(&per_op);
+  EXPECT_EQ(e4.pending_chain_ops(), 1);
+  EXPECT_EQ(Collect(s4), Collect(e4));
 }
 
 TEST(StaticFeedTest, InexactCountsForceABoundaryMidChain) {
-  ScopedEnv fusion("MATRYOSHKA_FUSION", "1");
-  ScopedEnv feeds("MATRYOSHKA_STATIC_FEEDS", "1");
   Cluster c(SerialConfig());
   // FlatMap demotes the tracked counts to a bound, so the next narrow op
   // must materialize the chain and start fresh on the forced output.
@@ -182,7 +89,7 @@ TEST(StaticFeedTest, InexactCountsForceABoundaryMidChain) {
   EXPECT_TRUE(flat.pending());
   EXPECT_FALSE(flat.counts_exact());
   auto next = Map(flat, [](int64_t v) { return v * 2; });
-  // ComposeReady forced the inexact upstream; the new op starts a fresh
+  // ForceBoundary forced the inexact upstream; the new op starts a fresh
   // one-op chain over the materialization.
   EXPECT_TRUE(next.pending());
   EXPECT_EQ(next.pending_chain_ops(), 1);
@@ -192,8 +99,6 @@ TEST(StaticFeedTest, InexactCountsForceABoundaryMidChain) {
 }
 
 TEST(StaticFeedTest, DepthCapForcesMidChainGracefully) {
-  ScopedEnv fusion("MATRYOSHKA_FUSION", "1");
-  ScopedEnv feeds("MATRYOSHKA_STATIC_FEEDS", "1");
   ClusterConfig cfg = SerialConfig();
   cfg.fusion.max_chain_depth = 2;
   Cluster c(cfg);
@@ -218,58 +123,109 @@ TEST(StaticFeedTest, SiblingForceMemoizesAndLaterOpsReuse) {
   // Once any handle of a shared pending chain forces it, later narrow ops
   // must re-root at the memoized partitions instead of re-running the
   // chain's UDFs (the udf-call counter would double otherwise).
-  for (const char* static_arm : {"0", "1"}) {
-    ScopedEnv fusion("MATRYOSHKA_FUSION", "1");
-    ScopedEnv feeds("MATRYOSHKA_STATIC_FEEDS", static_arm);
-    Cluster c(SerialConfig());
-    auto calls = std::make_shared<int64_t>(0);
-    auto mapped = Map(MakePairs(&c),
-                      [calls](const std::pair<int64_t, int64_t>& p) {
-                        ++*calls;
-                        return std::pair<int64_t, int64_t>(p.first,
-                                                           p.second * 2);
-                      });
-    EXPECT_TRUE(mapped.pending());
-    // Force through a sibling handle: `mapped` itself stays pending but its
-    // shared chain state now carries the memoized partitions — the exact
-    // state in which a composing consumer must NOT copy and re-run the
-    // chain.
-    Bag<std::pair<int64_t, int64_t>> sibling = mapped;
-    sibling.Force();
-    EXPECT_EQ(*calls, 200) << "static=" << static_arm;
-    EXPECT_TRUE(mapped.pending());
-    EXPECT_TRUE(mapped.pending_materialized());
-    auto downstream = MapValues(mapped, [](int64_t v) { return v + 1; });
-    std::vector<std::pair<int64_t, int64_t>> got = Collect(downstream);
-    ASSERT_EQ(got.size(), 200u);
-    EXPECT_EQ(*calls, 200) << "static=" << static_arm
-                           << ": composing past a memoized chain re-ran it";
+  Cluster c(SerialConfig());
+  auto calls = std::make_shared<int64_t>(0);
+  auto mapped = Map(MakePairs(&c),
+                    [calls](const std::pair<int64_t, int64_t>& p) {
+                      ++*calls;
+                      return std::pair<int64_t, int64_t>(p.first,
+                                                         p.second * 2);
+                    });
+  EXPECT_TRUE(mapped.pending());
+  // Force through a sibling handle: `mapped` itself stays pending but its
+  // shared chain state now carries the memoized partitions — the exact
+  // state in which a composing consumer must NOT re-run the chain.
+  Bag<std::pair<int64_t, int64_t>> sibling = mapped;
+  sibling.Force();
+  EXPECT_EQ(*calls, 200);
+  EXPECT_TRUE(mapped.pending());
+  EXPECT_TRUE(mapped.pending_materialized());
+  // Both overloads re-root: the FusedBag one declines to extend, the
+  // Bag<T> one (reached here through a still-pending sliced copy) flips its
+  // handle to the memoized partitions.
+  using P = std::pair<int64_t, int64_t>;
+  auto bump = [](int64_t v) { return v + 1; };
+  const Bag<P> sliced = mapped;
+  for (const Bag<P>& downstream :
+       {Bag<P>(MapValues(mapped, bump)), Bag<P>(MapValues(sliced, bump))}) {
+    ASSERT_EQ(Collect(downstream).size(), 200u);
   }
+  EXPECT_EQ(*calls, 200) << "composing past a memoized chain re-ran it";
+}
+
+// --- The one erased hop: a FusedBag sliced to a plain Bag<T> ----------------
+
+TEST(StaticFeedTest, SlicedChainExtendsThroughOneErasedHop) {
+  // Assigning a pending chain to a plain Bag<T> hides its concrete type;
+  // the next narrow op roots a new chain at the erased pending feed. The
+  // result must stay pending as ONE two-op chain (no force at the hop), run
+  // every upstream UDF exactly once per element, and match the unsliced
+  // chain on data, partitioning and Metrics.
+  auto program = [](Cluster* c, const std::shared_ptr<int64_t>& calls,
+                    bool sliced) {
+    auto upstream = MapValues(MakePairs(c), [calls](int64_t v) {
+      ++*calls;
+      return v * 5;
+    });
+    auto extend = [](const auto& in) {
+      return Map(in, [](const std::pair<int64_t, int64_t>& p) {
+        return std::pair<int64_t, int64_t>(p.first, p.second + p.first);
+      });
+    };
+    if (!sliced) return Bag<std::pair<int64_t, int64_t>>(extend(upstream));
+    Bag<std::pair<int64_t, int64_t>> plain = upstream;
+    return Bag<std::pair<int64_t, int64_t>>(extend(plain));
+  };
+  Cluster fused(SerialConfig());
+  Cluster erased(SerialConfig());
+  auto fused_calls = std::make_shared<int64_t>(0);
+  auto erased_calls = std::make_shared<int64_t>(0);
+  auto want = program(&fused, fused_calls, /*sliced=*/false);
+  auto got = program(&erased, erased_calls, /*sliced=*/true);
+  EXPECT_TRUE(got.pending());
+  EXPECT_EQ(got.pending_chain_ops(), 2);
+  EXPECT_EQ(*erased_calls, 0) << "the erased hop forced its upstream";
+  EXPECT_EQ(got.partitions(), want.partitions());
+  EXPECT_EQ(got.key_partitions(), want.key_partitions());
+  EXPECT_EQ(*erased_calls, 200);
+  EXPECT_EQ(*fused_calls, 200);
+  const Metrics& a = fused.metrics();
+  const Metrics& b = erased.metrics();
+  EXPECT_EQ(a.simulated_time_s, b.simulated_time_s);
+  EXPECT_EQ(a.jobs, b.jobs);
+  EXPECT_EQ(a.stages, b.stages);
+  EXPECT_EQ(a.tasks, b.tasks);
+  EXPECT_EQ(a.elements_processed, b.elements_processed);
+  EXPECT_EQ(a.shuffle_bytes, b.shuffle_bytes);
+  EXPECT_EQ(a.broadcast_bytes, b.broadcast_bytes);
+  EXPECT_EQ(a.spilled_bytes, b.spilled_bytes);
+  EXPECT_EQ(a.peak_task_bytes, b.peak_task_bytes);
+  EXPECT_EQ(a.peak_machine_bytes, b.peak_machine_bytes);
+  EXPECT_EQ(a.failed_tasks, b.failed_tasks);
+  EXPECT_EQ(a.checkpoints_written, b.checkpoints_written);
+  EXPECT_EQ(a.recovery_time_s, b.recovery_time_s);
+  EXPECT_TRUE(fused.ok());
+  EXPECT_TRUE(erased.ok());
 }
 
 // --- Compile guard: move-only, non-spillable element types ------------------
 
 TEST(StaticFeedTest, MoveOnlyElementsFlowThroughNarrowChains) {
-  for (const char* static_arm : {"0", "1"}) {
-    ScopedEnv fusion("MATRYOSHKA_FUSION", "1");
-    ScopedEnv feeds("MATRYOSHKA_STATIC_FEEDS", static_arm);
-    Cluster c(SerialConfig());
-    std::vector<MoveOnlyElem> data;
-    for (int64_t i = 0; i < 64; ++i) {
-      data.push_back(MoveOnlyElem{std::make_unique<int64_t>(i)});
-    }
-    auto bag = Parallelize(&c, std::move(data), 4);
-    auto bumped = Map(bag, [](const MoveOnlyElem& e) {
-      return MoveOnlyElem{std::make_unique<int64_t>(*e.v + 1)};
-    });
-    auto summed = Map(bumped, [](const MoveOnlyElem& e) { return *e.v; });
-    EXPECT_EQ(Count(summed), 64);
-    std::vector<int64_t> values = Collect(summed);
-    EXPECT_EQ(std::accumulate(values.begin(), values.end(), int64_t{0}),
-              64 * 65 / 2)
-        << "static=" << static_arm;
-    EXPECT_TRUE(c.ok());
+  Cluster c(SerialConfig());
+  std::vector<MoveOnlyElem> data;
+  for (int64_t i = 0; i < 64; ++i) {
+    data.push_back(MoveOnlyElem{std::make_unique<int64_t>(i)});
   }
+  auto bag = Parallelize(&c, std::move(data), 4);
+  auto bumped = Map(bag, [](const MoveOnlyElem& e) {
+    return MoveOnlyElem{std::make_unique<int64_t>(*e.v + 1)};
+  });
+  auto summed = Map(bumped, [](const MoveOnlyElem& e) { return *e.v; });
+  EXPECT_EQ(Count(summed), 64);
+  std::vector<int64_t> values = Collect(summed);
+  EXPECT_EQ(std::accumulate(values.begin(), values.end(), int64_t{0}),
+            64 * 65 / 2);
+  EXPECT_TRUE(c.ok());
 }
 
 }  // namespace

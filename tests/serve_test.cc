@@ -10,7 +10,7 @@
 //  - THE ISOLATION CONTRACT: a request executed concurrently under load is
 //    bit-identical — data, partition order, key_partitions, full Metrics,
 //    exported trace — to the same request executed alone. Checked clean,
-//    under an active FaultPlan, and with fusion on/off.
+//    under an active FaultPlan, and with fusion on/off (chain depth 1).
 //  - Memo cache: a hit is byte-identical to a recompute, hit/miss/eviction
 //    counters are exact, a disabled cache leaves the engine byte-identical,
 //    and per-request responses never carry cache counters.
@@ -27,11 +27,9 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <cstdlib>
 #include <future>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -65,31 +63,6 @@ using engine::Metrics;
 
 // --- shared fixtures -------------------------------------------------------
 
-/// RAII environment override/neutralizer (engine knobs are read at Cluster
-/// construction, which for serving happens per request on worker threads).
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    if (const char* old = std::getenv(name)) prev_ = old;
-    if (value == nullptr) {
-      ::unsetenv(name);
-    } else {
-      ::setenv(name, value, /*overwrite=*/1);
-    }
-  }
-  ~ScopedEnv() {
-    if (prev_.has_value()) {
-      ::setenv(name_, prev_->c_str(), /*overwrite=*/1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-
- private:
-  const char* name_;
-  std::optional<std::string> prev_;
-};
-
 ClusterConfig EngineConfig() {
   ClusterConfig cfg;
   cfg.num_machines = 4;
@@ -108,8 +81,9 @@ ClusterConfig WithFaults(ClusterConfig cfg) {
   return cfg;
 }
 
+/// Fusion off means no two narrow ops share a pass: a chain depth of 1.
 ClusterConfig WithFusion(ClusterConfig cfg, bool enabled) {
-  cfg.fusion.enabled = enabled;
+  if (!enabled) cfg.fusion.max_chain_depth = 1;
   return cfg;
 }
 
@@ -838,8 +812,7 @@ TEST(ServingCacheTest, ConcurrentIdenticalRequestsStayCoherent) {
 /// all reach zero — registered exactly like any one-shot plan. The loop is
 /// an engine::Iterate on the request's own cluster, with the convergence
 /// test (a fused AnyMatch) evaluated in-engine, so the serving layer needs
-/// no special casing for iterative programs: the iteration arm comes from
-/// the driver's cluster template like every other engine knob.
+/// no special casing for iterative programs.
 PlanSpec HalveUntilZeroSpec() {
   PlanSpec spec;
   spec.name = "halve_until_zero";
@@ -873,38 +846,7 @@ PlanSpec HalveUntilZeroSpec() {
   return spec;
 }
 
-TEST(ServingIterativePlanTest, KnobArmsServeBitIdenticalResponses) {
-  // The native-iteration contract extends through the serving layer: the
-  // same iterative plan served from a native-loop template and from a
-  // legacy driver-loop template must return bit-identical responses (data,
-  // partition order, key_partitions, full simulated Metrics). This is also
-  // why the memo-cache key does not need an iteration-arm leg.
-  ScopedEnv neutral("MATRYOSHKA_NATIVE_ITER", nullptr);
-  ServeResponse arms[2];
-  for (bool native : {false, true}) {
-    PlanRegistry registry;
-    ASSERT_TRUE(registry.Register(HalveUntilZeroSpec()).ok());
-    ClusterConfig engine_cfg = EngineConfig();
-    engine_cfg.iteration.native = native;
-    ServingDriver driver(&registry, BaseServing(engine_cfg));
-    ServeRequest req;
-    req.plan = "halve_until_zero";
-    req.params.Set("rows", lang::Value(int64_t{512}));
-    arms[native ? 1 : 0] = driver.Execute(req);
-  }
-  ASSERT_TRUE(arms[0].status.ok()) << arms[0].status.message();
-  ASSERT_TRUE(arms[1].status.ok()) << arms[1].status.message();
-  EXPECT_GT(arms[0].output.NumRows(), 0);
-  ExpectSameResponse(arms[0], arms[1]);
-  // Only the real-execution iteration counters tell the arms apart.
-  EXPECT_EQ(arms[0].metrics.native_iterations, 0);
-  EXPECT_EQ(arms[0].metrics.convergence_checks_in_engine, 0);
-  EXPECT_GT(arms[1].metrics.native_iterations, 0);
-  EXPECT_GT(arms[1].metrics.convergence_checks_in_engine, 0);
-}
-
 TEST(ServingIterativePlanTest, IterativePlanIsCacheableAcrossRequests) {
-  ScopedEnv neutral("MATRYOSHKA_NATIVE_ITER", nullptr);
   PlanRegistry registry;
   ASSERT_TRUE(registry.Register(HalveUntilZeroSpec()).ok());
   ServingConfig cfg = BaseServing(EngineConfig());
@@ -927,7 +869,6 @@ TEST(ServingIterativePlanTest, IterativePlanIsCacheableAcrossRequests) {
 TEST(ServingForceContractTest, OffThreadForceOnPendingBagDies) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   ClusterConfig cfg;  // serial engine: the death is about threads, not pools
-  cfg.fusion.enabled = true;
   engine::Cluster cluster(cfg);
   auto bag = engine::Parallelize(&cluster, std::vector<int64_t>{1, 2, 3}, 2);
   auto pending = engine::Map(bag, [](int64_t x) { return x * 2; });
@@ -944,7 +885,6 @@ TEST(ServingForceContractTest, OffThreadForceOnPendingBagDies) {
 
 TEST(ServingForceContractTest, BindDriverThreadHandsTheClusterOver) {
   ClusterConfig cfg;
-  cfg.fusion.enabled = true;
   engine::Cluster cluster(cfg);
   auto bag = engine::Parallelize(&cluster, std::vector<int64_t>{1, 2, 3}, 2);
   auto pending = engine::Map(bag, [](int64_t x) { return x * 2; });
@@ -966,7 +906,6 @@ TEST(ServingForceContractTest, MaterializedBagsForceAnywhere) {
   // A no-op Force (nothing pending) is legal from any thread: serving
   // workers hold materialized bags without owning the cluster.
   ClusterConfig cfg;
-  cfg.fusion.enabled = true;
   engine::Cluster cluster(cfg);
   auto bag = engine::Parallelize(&cluster, std::vector<int64_t>{1, 2, 3}, 2);
   auto mapped = engine::Map(bag, [](int64_t x) { return x + 1; });
