@@ -99,12 +99,13 @@ auto HalfLiftedMapWithClosure(const engine::Bag<E>& primary,
     c->AccrueStage(costs, /*lineage_depth=*/1,
                    engine::StageContext{"cross[probe-scalar]"});
     typename Out::Partitions out(primary.partitions().size());
-    ParallelFor(c->pool(), primary.partitions().size(), [&](std::size_t i) {
-      out[i].reserve(primary.partitions()[i].size() * clos.size());
-      for (const auto& x : primary.partitions()[i]) {
-        for (const auto& [t, cv] : clos) out[i].emplace_back(t, f(x, cv));
-      }
-    });
+    engine::internal::GuardedParallelFor(
+        c, primary.partitions().size(), [&](std::size_t i) {
+          out[i].reserve(primary.partitions()[i].size() * clos.size());
+          for (const auto& x : primary.partitions()[i]) {
+            for (const auto& [t, cv] : clos) out[i].emplace_back(t, f(x, cv));
+          }
+        });
     return InnerBag<U>(ctx, Out(c, std::move(out), out_scale));
   }
 
@@ -131,14 +132,13 @@ auto HalfLiftedMapWithClosure(const engine::Bag<E>& primary,
   c->AccrueStage(costs, /*lineage_depth=*/1,
                  engine::StageContext{"cross[probe-primary]"});
   typename Out::Partitions out(closure.repr().partitions().size());
-  ParallelFor(c->pool(), closure.repr().partitions().size(),
-              [&](std::size_t i) {
-                out[i].reserve(closure.repr().partitions()[i].size() *
-                               prim.size());
-                for (const auto& [t, cv] : closure.repr().partitions()[i]) {
-                  for (const auto& x : prim) out[i].emplace_back(t, f(x, cv));
-                }
-              });
+  engine::internal::GuardedParallelFor(
+      c, closure.repr().partitions().size(), [&](std::size_t i) {
+        out[i].reserve(closure.repr().partitions()[i].size() * prim.size());
+        for (const auto& [t, cv] : closure.repr().partitions()[i]) {
+          for (const auto& x : prim) out[i].emplace_back(t, f(x, cv));
+        }
+      });
   return InnerBag<U>(ctx, Out(c, std::move(out), out_scale));
 }
 

@@ -1,20 +1,19 @@
 #include "lang/lowering_phase.h"
 
 #include <optional>
+#include <stdexcept>
 #include <variant>
 
-#include "common/logging.h"
 #include "core/matryoshka.h"
 #include "engine/ops.h"
 #include "engine/shuffle.h"
-#include "lang/row_kernels.h"
+#include "lang/compiled_lambda.h"
 
 namespace matryoshka::lang {
 
 namespace {
 
 using engine::Bag;
-using ScalarEnv = std::unordered_map<std::string, Value>;
 
 /// What a name can denote at lowering time.
 struct NestedRuntime {
@@ -28,51 +27,20 @@ using RuntimeValue =
 
 using Env = std::unordered_map<std::string, RuntimeValue>;
 
-/// Scalar binop semantics live in row_kernels.h (EvalRowBinOp) so the
-/// tree-walking interpreter and the compiled kernels share one definition.
-Value EvalBinOp(BinOpKind op, const Value& a, const Value& b) {
-  return EvalRowBinOp(op, a, b);
-}
+/// The keyed ops' views of a (key, value) 2-tuple row.
+constexpr auto kToPair = [](const Value& x) {
+  return std::pair<Value, Value>(x.Field(0), x.Field(1));
+};
+constexpr auto kFromPair = [](const std::pair<Value, Value>& p) {
+  return Value::MakeTuple({p.first, p.second});
+};
 
-/// Evaluates a scalar expression against an environment of Values — the
-/// per-element interpreter used inside engine UDFs and for driver scalars.
-Value EvalScalar(const Expr& e, const ScalarEnv& env) {
-  switch (e.kind) {
-    case ExprKind::kConst:
-      return e.literal;
-    case ExprKind::kVar: {
-      auto it = env.find(e.name);
-      MATRYOSHKA_CHECK(it != env.end())
-          << "unbound scalar variable '" << e.name << "'";
-      return it->second;
-    }
-    case ExprKind::kTupleMake: {
-      Value::Tuple t;
-      t.reserve(e.inputs.size());
-      for (const auto& in : e.inputs) t.push_back(EvalScalar(*in, env));
-      return Value(std::move(t));
-    }
-    case ExprKind::kTupleField:
-      return EvalScalar(*e.inputs[0], env).Field(e.index);
-    case ExprKind::kBinOp:
-      return EvalBinOp(e.op, EvalScalar(*e.inputs[0], env),
-                       EvalScalar(*e.inputs[1], env));
-    default:
-      MATRYOSHKA_CHECK(false)
-          << "non-scalar node in element context: " << ToString(e);
-      return Value();
-  }
+/// A compiled element lambda as a filter predicate and as a flatMap UDF.
+auto AsPredicate(CompiledLambda fn) {
+  return [fn = std::move(fn)](const Value& x) { return fn(x).AsBool(); };
 }
-
-/// Applies a pure element lambda (with captures already bound into `base`).
-Value ApplyLambda(const Lambda& lam, const ScalarEnv& base,
-                  std::initializer_list<Value> args) {
-  MATRYOSHKA_CHECK(lam.params.size() == args.size());
-  ScalarEnv env = base;
-  std::size_t i = 0;
-  for (const Value& a : args) env[lam.params[i++]] = a;
-  for (const Stmt& s : lam.body) env[s.name] = EvalScalar(*s.expr, env);
-  return EvalScalar(*lam.result, env);
+auto AsFlatMapper(CompiledLambda fn) {
+  return [fn = std::move(fn)](const Value& x) { return fn(x).TakeTuple(); };
 }
 
 class Interpreter {
@@ -128,16 +96,18 @@ class Interpreter {
     return Status::Unsupported("program result is a nested bag; map it");
   }
 
-  /// Builds the capture environment of an element lambda: every captured
-  /// name must denote a driver scalar here (InnerScalar captures were
-  /// rewritten to liftedMapWithClosure by the parsing phase).
-  Result<ScalarEnv> CaptureEnv(const Lambda& lam,
-                               const std::string& skip = "") {
-    ScalarEnv captured;
+  /// Compiles an element lambda against the driver scalars it captures.
+  /// Every captured name must denote a driver scalar here (InnerScalar
+  /// captures were rewritten to liftedMapWithClosure by the parsing phase),
+  /// except `closure`, the InnerScalar a liftedMapWithClosure binds as one
+  /// more argument. A name bound nowhere fails the compile.
+  Result<CompiledLambda> CompileElement(const Lambda& lam,
+                                        const std::string& closure = "") {
+    CompiledLambda::Captures captured;
     for (const std::string& c : lam.captures) {
-      if (c == skip) continue;
+      if (c == closure) continue;
       auto it = env_.find(c);
-      if (it == env_.end()) continue;  // bound later inside the lambda? no: error below on use
+      if (it == env_.end()) continue;
       if (const auto* v = std::get_if<Value>(&it->second)) {
         captured[c] = *v;
       } else if (!std::holds_alternative<core::InnerScalar<Value>>(
@@ -150,7 +120,7 @@ class Interpreter {
             "' not rewritten to liftedMapWithClosure by the parsing phase");
       }
     }
-    return captured;
+    return CompiledLambda::Compile(lam, 1, captured, closure);
   }
 
   Result<RuntimeValue> Eval(const Expr& e, Env& env) {
@@ -176,78 +146,32 @@ class Interpreter {
       case ExprKind::kMap:
       case ExprKind::kFilter:
       case ExprKind::kFlatMap:
+      case ExprKind::kReduceByKey:
       case ExprKind::kDistinct:
       case ExprKind::kCount: {
         MATRYOSHKA_ASSIGN_OR_RETURN(Bag<Value> in, EvalBag(*e.inputs[0], env));
-        switch (e.kind) {
-          case ExprKind::kMap: {
-            MATRYOSHKA_ASSIGN_OR_RETURN(ScalarEnv cap, CaptureEnv(*e.lambda));
-            // Common projection shapes run as a compiled concrete functor
-            // (row_kernels.h) instead of the per-element tree interpreter;
-            // the engine's static feed chain then inlines it into the fused
-            // partition loop.
-            if (auto kern = rowkernel::CompileProjection(*e.lambda, cap)) {
-              return RuntimeValue(engine::Map(in, *kern));
-            }
-            LambdaPtr lam = e.lambda;
-            return RuntimeValue(engine::Map(in, [lam, cap](const Value& x) {
-              return ApplyLambda(*lam, cap, {x});
-            }));
-          }
-          case ExprKind::kFilter: {
-            MATRYOSHKA_ASSIGN_OR_RETURN(ScalarEnv cap, CaptureEnv(*e.lambda));
-            if (auto kern = rowkernel::CompilePredicate(*e.lambda, cap)) {
-              return RuntimeValue(engine::Filter(in, *kern));
-            }
-            LambdaPtr lam = e.lambda;
-            return RuntimeValue(
-                engine::Filter(in, [lam, cap](const Value& x) {
-                  return ApplyLambda(*lam, cap, {x}).AsBool();
-                }));
-          }
-          case ExprKind::kFlatMap: {
-            MATRYOSHKA_ASSIGN_OR_RETURN(ScalarEnv cap, CaptureEnv(*e.lambda));
-            if (auto kern =
-                    rowkernel::CompileFlatProjection(*e.lambda, cap)) {
-              return RuntimeValue(engine::FlatMap(in, *kern));
-            }
-            LambdaPtr lam = e.lambda;
-            return RuntimeValue(
-                engine::FlatMap(in, [lam, cap](const Value& x) {
-                  return ApplyLambda(*lam, cap, {x}).AsTuple();
-                }));
-          }
-          case ExprKind::kDistinct:
-            return RuntimeValue(engine::Distinct(in));
-          case ExprKind::kCount:
-            return RuntimeValue(Value(engine::Count(in)));
-          default:
-            break;
+        if (e.kind == ExprKind::kDistinct) {
+          return RuntimeValue(engine::Distinct(in));
         }
-        return Status::Internal("unreachable");
-      }
-      case ExprKind::kReduceByKey: {
-        MATRYOSHKA_ASSIGN_OR_RETURN(Bag<Value> in, EvalBag(*e.inputs[0], env));
-        LambdaPtr f2 = e.lambda2;
-        // The key-extract map is already a concrete pair projection; a
-        // binop-shaped merge function additionally compiles to a concrete
-        // combiner, taking the interpreter out of the (map-side and
-        // reduce-side) merge loop.
-        auto kv = engine::Map(in, [](const Value& x) {
-          return std::pair<Value, Value>(x.Field(0), x.Field(1));
-        });
-        auto retuple = [](const std::pair<Value, Value>& p) {
-          return Value::MakeTuple({p.first, p.second});
-        };
-        if (auto kern = rowkernel::CompileCombiner(*f2)) {
-          return RuntimeValue(
-              engine::Map(engine::ReduceByKey(kv, *kern), retuple));
+        if (e.kind == ExprKind::kCount) {
+          return RuntimeValue(Value(engine::Count(in)));
         }
-        auto red = engine::ReduceByKey(
-            kv, [f2](const Value& a, const Value& b) {
-              return ApplyLambda(*f2, {}, {a, b});
-            });
-        return RuntimeValue(engine::Map(red, retuple));
+        if (e.kind == ExprKind::kReduceByKey) {
+          MATRYOSHKA_ASSIGN_OR_RETURN(
+              CompiledLambda merge, CompiledLambda::Compile(*e.lambda2, 2, {}));
+          auto red = engine::ReduceByKey(engine::Map(in, kToPair),
+                                         std::move(merge));
+          return RuntimeValue(engine::Map(red, kFromPair));
+        }
+        MATRYOSHKA_ASSIGN_OR_RETURN(CompiledLambda fn,
+                                    CompileElement(*e.lambda));
+        if (e.kind == ExprKind::kMap) {
+          return RuntimeValue(engine::Map(in, std::move(fn)));
+        }
+        if (e.kind == ExprKind::kFilter) {
+          return RuntimeValue(engine::Filter(in, AsPredicate(std::move(fn))));
+        }
+        return RuntimeValue(engine::FlatMap(in, AsFlatMapper(std::move(fn))));
       }
       case ExprKind::kUnion: {
         MATRYOSHKA_ASSIGN_OR_RETURN(Bag<Value> a, EvalBag(*e.inputs[0], env));
@@ -263,7 +187,7 @@ class Interpreter {
           return Status::InvalidArgument(
               "binop over non-scalars survived the parsing phase");
         }
-        return RuntimeValue(EvalBinOp(e.op, *va, *vb));
+        return RuntimeValue(EvalRowBinOp(e.op, *va, *vb));
       }
       case ExprKind::kTupleMake: {
         Value::Tuple t;
@@ -285,12 +209,7 @@ class Interpreter {
       // --- the nesting primitives (the parsing phase's output) ---
       case ExprKind::kGroupByKeyIntoNestedBag: {
         MATRYOSHKA_ASSIGN_OR_RETURN(Bag<Value> in, EvalBag(*e.inputs[0], env));
-        auto kv = engine::Map(
-            in,
-            [](const Value& x) {
-              return std::pair<Value, Value>(x.Field(0), x.Field(1));
-            },
-            0.25);
+        auto kv = engine::Map(in, kToPair, 0.25);
         auto nested = core::GroupByKeyIntoNestedBag(kv, options_);
         auto rt = std::make_shared<NestedRuntime>(
             NestedRuntime{nested.keys(), nested.values()});
@@ -323,84 +242,50 @@ class Interpreter {
       case ExprKind::kLiftedMap:
       case ExprKind::kLiftedFilter:
       case ExprKind::kLiftedFlatMap:
+      case ExprKind::kLiftedMapWithClosure:
+      case ExprKind::kLiftedReduceByKey:
       case ExprKind::kLiftedDistinct:
       case ExprKind::kLiftedCount: {
         MATRYOSHKA_ASSIGN_OR_RETURN(core::InnerBag<Value> in,
                                     EvalInnerBag(*e.inputs[0], env));
-        switch (e.kind) {
-          case ExprKind::kLiftedMap: {
-            MATRYOSHKA_ASSIGN_OR_RETURN(ScalarEnv cap, CaptureEnv(*e.lambda));
-            LambdaPtr lam = e.lambda;
-            return RuntimeValue(
-                core::LiftedMap(in, [lam, cap](const Value& x) {
-                  return ApplyLambda(*lam, cap, {x});
-                }));
-          }
-          case ExprKind::kLiftedFilter: {
-            MATRYOSHKA_ASSIGN_OR_RETURN(ScalarEnv cap, CaptureEnv(*e.lambda));
-            LambdaPtr lam = e.lambda;
-            return RuntimeValue(
-                core::LiftedFilter(in, [lam, cap](const Value& x) {
-                  return ApplyLambda(*lam, cap, {x}).AsBool();
-                }));
-          }
-          case ExprKind::kLiftedFlatMap: {
-            MATRYOSHKA_ASSIGN_OR_RETURN(ScalarEnv cap, CaptureEnv(*e.lambda));
-            LambdaPtr lam = e.lambda;
-            return RuntimeValue(
-                core::LiftedFlatMap(in, [lam, cap](const Value& x) {
-                  return ApplyLambda(*lam, cap, {x}).AsTuple();
-                }));
-          }
-          case ExprKind::kLiftedDistinct:
-            return RuntimeValue(core::LiftedDistinct(in));
-          case ExprKind::kLiftedCount: {
-            auto counts = core::LiftedCount(in);
-            return RuntimeValue(core::UnaryScalarOp(
-                counts, [](int64_t c) { return Value(c); }));
-          }
-          default:
-            break;
+        if (e.kind == ExprKind::kLiftedDistinct) {
+          return RuntimeValue(core::LiftedDistinct(in));
         }
-        return Status::Internal("unreachable");
-      }
-      case ExprKind::kLiftedMapWithClosure: {
-        MATRYOSHKA_ASSIGN_OR_RETURN(core::InnerBag<Value> in,
-                                    EvalInnerBag(*e.inputs[0], env));
-        auto cit = env.find(e.name);
-        if (cit == env.end() ||
-            !std::holds_alternative<core::InnerScalar<Value>>(cit->second)) {
-          return Status::InvalidArgument("closure '" + e.name +
-                                         "' is not an InnerScalar");
+        if (e.kind == ExprKind::kLiftedCount) {
+          return RuntimeValue(core::UnaryScalarOp(
+              core::LiftedCount(in), [](int64_t c) { return Value(c); }));
         }
-        auto closure = std::get<core::InnerScalar<Value>>(cit->second);
-        MATRYOSHKA_ASSIGN_OR_RETURN(ScalarEnv cap,
-                                    CaptureEnv(*e.lambda, e.name));
-        LambdaPtr lam = e.lambda;
-        const std::string closure_name = e.name;
-        return RuntimeValue(core::MapWithClosure(
-            in, closure, [lam, cap, closure_name](const Value& x,
-                                                  const Value& c) {
-              ScalarEnv env2 = cap;
-              env2[closure_name] = c;
-              return ApplyLambda(*lam, env2, {x});
-            }));
-      }
-      case ExprKind::kLiftedReduceByKey: {
-        MATRYOSHKA_ASSIGN_OR_RETURN(core::InnerBag<Value> in,
-                                    EvalInnerBag(*e.inputs[0], env));
-        LambdaPtr f2 = e.lambda2;
-        auto kv = core::LiftedMap(in, [](const Value& x) {
-          return std::pair<Value, Value>(x.Field(0), x.Field(1));
-        });
-        auto red = core::LiftedReduceByKey(
-            kv, [f2](const Value& a, const Value& b) {
-              return ApplyLambda(*f2, {}, {a, b});
-            });
+        if (e.kind == ExprKind::kLiftedReduceByKey) {
+          MATRYOSHKA_ASSIGN_OR_RETURN(
+              CompiledLambda merge, CompiledLambda::Compile(*e.lambda2, 2, {}));
+          auto red = core::LiftedReduceByKey(core::LiftedMap(in, kToPair),
+                                             std::move(merge));
+          return RuntimeValue(core::LiftedMap(red, kFromPair));
+        }
+        if (e.kind == ExprKind::kLiftedMapWithClosure) {
+          auto cit = env.find(e.name);
+          if (cit == env.end() ||
+              !std::holds_alternative<core::InnerScalar<Value>>(cit->second)) {
+            return Status::InvalidArgument("closure '" + e.name +
+                                           "' is not an InnerScalar");
+          }
+          MATRYOSHKA_ASSIGN_OR_RETURN(CompiledLambda fn,
+                                      CompileElement(*e.lambda, e.name));
+          return RuntimeValue(core::MapWithClosure(
+              in, std::get<core::InnerScalar<Value>>(cit->second),
+              std::move(fn)));
+        }
+        MATRYOSHKA_ASSIGN_OR_RETURN(CompiledLambda fn,
+                                    CompileElement(*e.lambda));
+        if (e.kind == ExprKind::kLiftedMap) {
+          return RuntimeValue(core::LiftedMap(in, std::move(fn)));
+        }
+        if (e.kind == ExprKind::kLiftedFilter) {
+          return RuntimeValue(
+              core::LiftedFilter(in, AsPredicate(std::move(fn))));
+        }
         return RuntimeValue(
-            core::LiftedMap(red, [](const std::pair<Value, Value>& p) {
-              return Value::MakeTuple({p.first, p.second});
-            }));
+            core::LiftedFlatMap(in, AsFlatMapper(std::move(fn))));
       }
       case ExprKind::kBinaryScalarOp: {
         MATRYOSHKA_ASSIGN_OR_RETURN(RuntimeValue a, Eval(*e.inputs[0], env));
@@ -411,7 +296,7 @@ class Interpreter {
         if (ia != nullptr && ib != nullptr) {
           return RuntimeValue(core::BinaryScalarOp(
               *ia, *ib, [op](const Value& x, const Value& y) {
-                return EvalBinOp(op, x, y);
+                return EvalRowBinOp(op, x, y);
               }));
         }
         if (ia != nullptr) {
@@ -419,14 +304,16 @@ class Interpreter {
           if (vb == nullptr) return Status::InvalidArgument("bad operand");
           const Value c = *vb;
           return RuntimeValue(core::UnaryScalarOp(
-              *ia, [op, c](const Value& x) { return EvalBinOp(op, x, c); }));
+              *ia,
+              [op, c](const Value& x) { return EvalRowBinOp(op, x, c); }));
         }
         if (ib != nullptr) {
           const auto* va = std::get_if<Value>(&a);
           if (va == nullptr) return Status::InvalidArgument("bad operand");
           const Value c = *va;
           return RuntimeValue(core::UnaryScalarOp(
-              *ib, [op, c](const Value& y) { return EvalBinOp(op, c, y); }));
+              *ib,
+              [op, c](const Value& y) { return EvalRowBinOp(op, c, y); }));
         }
         return Status::InvalidArgument("binaryScalarOp over plain scalars");
       }
@@ -626,7 +513,15 @@ void LoweringPhase::BindSource(const std::string& name,
 
 Result<std::vector<Value>> LoweringPhase::Execute(const Program& program) {
   Interpreter interp(cluster_, options_, sources_);
-  return interp.Run(program);
+  try {
+    return interp.Run(program);
+  } catch (const std::invalid_argument& e) {
+    // A value of the wrong shape met on the driver thread (pool bodies
+    // already fail the cluster through GuardedParallelFor).
+    Status failure = Status::InvalidArgument(e.what());
+    cluster_->Fail(failure);
+    return failure;
+  }
 }
 
 }  // namespace matryoshka::lang

@@ -41,7 +41,10 @@ class LoweringPhase {
   ///  - a driver scalar     -> a single element.
   /// Surface-language bag ops that the parsing phase should have rewritten
   /// (a map-with-bag-ops, a groupByKey) fail with InvalidArgument: the
-  /// lowering phase only understands the explicit plan.
+  /// lowering phase only understands the explicit plan. So do an element
+  /// lambda that does not compile and a wrong-shaped value met on the
+  /// driver thread (which also fails the cluster); one met in a pool body
+  /// fails the cluster with kInternal, as any throwing UDF does.
   Result<std::vector<Value>> Execute(const Program& program);
 
  private:

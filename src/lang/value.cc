@@ -1,40 +1,53 @@
 #include "lang/value.h"
 
+#include <stdexcept>
+
 #include "common/hash.h"
-#include "common/logging.h"
 
 namespace matryoshka::lang {
 
+namespace {
+
+[[noreturn]] void ThrowNot(const char* what, const Value& v) {
+  throw std::invalid_argument(std::string("Value is not ") + what + ": " +
+                              v.ToString());
+}
+
+}  // namespace
+
 int64_t Value::AsInt() const {
-  MATRYOSHKA_CHECK(is_int()) << "Value is not an int: " << ToString();
+  if (!is_int()) ThrowNot("an int", *this);
   return std::get<int64_t>(v_);
 }
 
 double Value::AsDouble() const {
   if (is_int()) return static_cast<double>(std::get<int64_t>(v_));
-  MATRYOSHKA_CHECK(is_double()) << "Value is not numeric: " << ToString();
+  if (!is_double()) ThrowNot("numeric", *this);
   return std::get<double>(v_);
 }
 
 bool Value::AsBool() const {
-  MATRYOSHKA_CHECK(is_bool()) << "Value is not a bool: " << ToString();
+  if (!is_bool()) ThrowNot("a bool", *this);
   return std::get<bool>(v_);
 }
 
 const std::string& Value::AsString() const {
-  MATRYOSHKA_CHECK(is_string()) << "Value is not a string: " << ToString();
+  if (!is_string()) ThrowNot("a string", *this);
   return std::get<std::string>(v_);
 }
 
 const Value::Tuple& Value::AsTuple() const {
-  MATRYOSHKA_CHECK(is_tuple()) << "Value is not a tuple: " << ToString();
+  if (!is_tuple()) ThrowNot("a tuple", *this);
   return std::get<Tuple>(v_);
 }
 
 const Value& Value::Field(std::size_t i) const {
   const Tuple& t = AsTuple();
-  MATRYOSHKA_CHECK(i < t.size())
-      << "tuple field " << i << " out of range (size " << t.size() << ")";
+  if (i >= t.size()) {
+    throw std::invalid_argument("tuple field " + std::to_string(i) +
+                                " out of range (size " +
+                                std::to_string(t.size()) + ")");
+  }
   return t[i];
 }
 

@@ -37,13 +37,17 @@ class Value {
   bool is_string() const { return std::holds_alternative<std::string>(v_); }
   bool is_tuple() const { return std::holds_alternative<Tuple>(v_); }
 
+  /// Typed accessors; a value of another type throws std::invalid_argument.
   int64_t AsInt() const;
   double AsDouble() const;  // accepts int too (numeric widening)
   bool AsBool() const;
   const std::string& AsString() const;
   const Tuple& AsTuple() const;
+  /// Moves the tuple out of an expiring value; throws like AsTuple.
+  Tuple TakeTuple() && { AsTuple(); return std::get<Tuple>(std::move(v_)); }
 
-  /// Tuple field access; checks bounds and tuple-ness.
+  /// Tuple field access; throws std::invalid_argument on a non-tuple or an
+  /// out-of-range index.
   const Value& Field(std::size_t i) const;
 
   std::string ToString() const;

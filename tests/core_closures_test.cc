@@ -7,6 +7,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -141,6 +143,32 @@ TEST_F(ClosuresTest, HalfLiftedAutoAvoidsTheOom) {
       points, runs, [](int64_t p, int64_t r) { return p + r; });
   EXPECT_TRUE(c.ok());
   EXPECT_EQ(crossed.repr().Size(), 100000);
+}
+
+TEST_F(ClosuresTest, HalfLiftedThrowingUdfFailsTheClusterTyped) {
+  // Both cross strategies run the UDF under the engine's exception guard: a
+  // throwing UDF fails the program with kInternal and nothing escapes.
+  for (CrossStrategy strategy :
+       {CrossStrategy::kBroadcastScalar, CrossStrategy::kBroadcastPrimary}) {
+    ClusterConfig cfg = TestConfig();
+    cfg.execute_parallel = true;
+    cfg.pool_threads = 2;
+    Cluster c(cfg);
+    OptimizerOptions opts;
+    opts.cross_strategy = strategy;
+    auto points = Parallelize(&c, std::vector<int64_t>{1, 2, 3, 4}, 3);
+    auto lifted = LiftFlatBag(
+        Parallelize(&c, std::vector<int64_t>{100, 200}, 2), opts);
+    EXPECT_NO_THROW(HalfLiftedMapWithClosure(
+        points, lifted, [](int64_t p, int64_t r) -> int64_t {
+          if (p == 3) throw std::runtime_error("closure udf exploded");
+          return p * r;
+        }));
+    EXPECT_EQ(c.status().code(), StatusCode::kInternal)
+        << c.status().ToString();
+    EXPECT_NE(c.status().message().find("closure udf exploded"),
+              std::string::npos);
+  }
 }
 
 TEST_F(ClosuresTest, HalfLiftedJoinMatchesOnKeyAcrossLiftBoundary) {

@@ -259,10 +259,29 @@ TEST(LoweringPhaseTest, RefusesRawSurfacePlan) {
   EXPECT_TRUE(result.status().IsInvalidArgument());
 }
 
+/// Parses `surface` and lowers it on `cluster` over one bound source.
+Result<std::vector<Value>> Lower(Cluster* cluster, const Program& surface,
+                                 const std::string& source,
+                                 std::vector<Value> rows) {
+  ParsingPhase parser;
+  MATRYOSHKA_ASSIGN_OR_RETURN(Program parsed, parser.Rewrite(surface));
+  LoweringPhase lowering(cluster);
+  lowering.BindSource(source,
+                      engine::Parallelize(cluster, std::move(rows), 4));
+  return lowering.Execute(parsed);
+}
+
+Result<std::vector<Value>> LowerOverOneTwoThree(const Program& surface) {
+  Cluster cluster(TestConfig());
+  return Lower(&cluster, surface, "xs", {Value(1), Value(2), Value(3)});
+}
+
 TEST(LoweringPhaseTest, FlatPipelineExecutes) {
+  // Nested scalar ops in a filter. `/` is real division, so
+  // x - (x / 2) * 2 == 0.0 holds for every x and every element is kept.
   Program p;
   p.stmts.push_back(Stmt{
-      "evens",
+      "kept",
       Filter(Source("xs"),
              Lam("x", BinOp(BinOpKind::kEq,
                             BinOp(BinOpKind::kSub, Var("x"),
@@ -271,8 +290,14 @@ TEST(LoweringPhaseTest, FlatPipelineExecutes) {
                                               Lit(Value(2))),
                                         Lit(Value(2)))),
                             Lit(Value(0.0)))))});
-  p.result = "evens";
-  // Simpler: x * 2 pipeline instead; the above exercises nested scalar ops.
+  p.result = "kept";
+  auto kept = LowerOverOneTwoThree(p);
+  ASSERT_TRUE(kept.ok()) << kept.status().ToString();
+  std::vector<int64_t> got;
+  for (const Value& v : *kept) got.push_back(v.AsInt());
+  std::sort(got.begin(), got.end());
+  EXPECT_EQ(got, (std::vector<int64_t>{1, 2, 3}));
+
   Program q;
   q.stmts.push_back(Stmt{
       "doubled",
@@ -280,20 +305,59 @@ TEST(LoweringPhaseTest, FlatPipelineExecutes) {
           Lam("x", BinOp(BinOpKind::kMul, Var("x"), Lit(Value(2)))))});
   q.stmts.push_back(Stmt{"n", Count(Var("doubled"))});
   q.result = "doubled";
-
-  Cluster cluster(TestConfig());
-  ParsingPhase parser;
-  auto parsed = parser.Rewrite(q);
-  ASSERT_TRUE(parsed.ok());
-  LoweringPhase lowering(&cluster);
-  std::vector<Value> xs = {Value(1), Value(2), Value(3)};
-  lowering.BindSource("xs", engine::Parallelize(&cluster, xs, 2));
-  auto result = lowering.Execute(*parsed);
-  ASSERT_TRUE(result.ok());
-  std::vector<int64_t> got;
-  for (const Value& v : *result) got.push_back(v.AsInt());
+  auto doubled = LowerOverOneTwoThree(q);
+  ASSERT_TRUE(doubled.ok()) << doubled.status().ToString();
+  got.clear();
+  for (const Value& v : *doubled) got.push_back(v.AsInt());
   std::sort(got.begin(), got.end());
   EXPECT_EQ(got, (std::vector<int64_t>{2, 4, 6}));
+}
+
+TEST(LoweringPhaseTest, UnboundNameInFlatLambdaIsInvalidArgument) {
+  Program p;
+  p.stmts.push_back(Stmt{
+      "bad", Map(Source("xs"),
+                 Lam("x", BinOp(BinOpKind::kAdd, Var("x"), Var("nope"))))});
+  p.result = "bad";
+  auto result = LowerOverOneTwoThree(p);
+  ASSERT_TRUE(result.status().IsInvalidArgument())
+      << result.status().ToString();
+  EXPECT_NE(result.status().message().find("nope"), std::string::npos);
+}
+
+TEST(LoweringPhaseTest, UnboundNameInLiftedLambdaIsInvalidArgument) {
+  std::vector<Stmt> body;
+  body.push_back(Stmt{
+      "shifted", Map(Var("group"), Lam("x", BinOp(BinOpKind::kAdd, Var("x"),
+                                                  Var("nope"))))});
+  body.push_back(Stmt{"n", Count(Var("shifted"))});
+  Program p;
+  p.stmts.push_back(Stmt{"grouped", GroupByKey(Source("data"))});
+  p.stmts.push_back(Stmt{
+      "out", Map(Var("grouped"),
+                 LamProgram({"k", "group"}, std::move(body), Var("n")))});
+  p.result = "out";
+  Cluster cluster(TestConfig());
+  auto result = Lower(&cluster, p, "data",
+                      {Value::MakeTuple({Value(1), Value(10)}),
+                       Value::MakeTuple({Value(2), Value(20)})});
+  ASSERT_TRUE(result.status().IsInvalidArgument())
+      << result.status().ToString();
+  EXPECT_NE(result.status().message().find("nope"), std::string::npos);
+}
+
+TEST(LoweringPhaseTest, UnaryCombinerIsInvalidArgument) {
+  // Duplicate keys make the engine call the combiner.
+  Program p;
+  p.stmts.push_back(
+      Stmt{"summed", ReduceByKey(Source("kv"), Lam("a", Var("a")))});
+  p.result = "summed";
+  Cluster cluster(TestConfig());
+  auto result = Lower(&cluster, p, "kv",
+                      {Value::MakeTuple({Value(1), Value(10)}),
+                       Value::MakeTuple({Value(1), Value(11)})});
+  EXPECT_TRUE(result.status().IsInvalidArgument())
+      << result.status().ToString();
 }
 
 TEST(LoweringPhaseTest, CountActionReturnsDriverScalar) {
@@ -589,6 +653,87 @@ TEST(LoweringPhaseTest, JobCountIndependentOfGroupCount) {
     ASSERT_TRUE(result.ok());
     EXPECT_LE(cluster.metrics().jobs, 3) << days << " days";
   }
+}
+
+// ---------- Pool determinism of lowered programs ----------
+
+/// Every simulated Metrics field (the real_* execution counters are not
+/// part of the determinism contract).
+void ExpectSameSimulatedMetrics(const engine::Metrics& a,
+                                const engine::Metrics& b) {
+  EXPECT_EQ(a.simulated_time_s, b.simulated_time_s);
+  EXPECT_EQ(a.jobs, b.jobs);
+  EXPECT_EQ(a.stages, b.stages);
+  EXPECT_EQ(a.tasks, b.tasks);
+  EXPECT_EQ(a.elements_processed, b.elements_processed);
+  EXPECT_EQ(a.shuffle_bytes, b.shuffle_bytes);
+  EXPECT_EQ(a.broadcast_bytes, b.broadcast_bytes);
+  EXPECT_EQ(a.spilled_bytes, b.spilled_bytes);
+  EXPECT_EQ(a.spill_events, b.spill_events);
+  EXPECT_EQ(a.peak_task_bytes, b.peak_task_bytes);
+  EXPECT_EQ(a.peak_machine_bytes, b.peak_machine_bytes);
+  EXPECT_EQ(a.failed_tasks, b.failed_tasks);
+  EXPECT_EQ(a.task_retries, b.task_retries);
+  EXPECT_EQ(a.speculative_launches, b.speculative_launches);
+  EXPECT_EQ(a.machines_lost, b.machines_lost);
+  EXPECT_EQ(a.recovery_time_s, b.recovery_time_s);
+  EXPECT_EQ(a.checkpoints_written, b.checkpoints_written);
+  EXPECT_EQ(a.checkpoint_bytes, b.checkpoint_bytes);
+  EXPECT_EQ(a.driver_retries, b.driver_retries);
+  EXPECT_EQ(a.plan_fallbacks, b.plan_fallbacks);
+  EXPECT_EQ(a.cache_hits, b.cache_hits);
+  EXPECT_EQ(a.cache_misses, b.cache_misses);
+  EXPECT_EQ(a.cache_evictions, b.cache_evictions);
+}
+
+/// Lowers `surface` serially and on a four-thread pool, whose workers all
+/// call the same compiled lambdas, and expects identical rows and metrics.
+void ExpectPoolMatchesSerial(const Program& surface, const std::string& source,
+                             const std::vector<Value>& rows) {
+  ClusterConfig pooled_cfg = TestConfig();
+  pooled_cfg.execute_parallel = true;
+  pooled_cfg.pool_threads = 4;
+  Cluster serial(TestConfig());
+  Cluster pooled(pooled_cfg);
+  auto serial_rows = Lower(&serial, surface, source, rows);
+  auto pooled_rows = Lower(&pooled, surface, source, rows);
+  ASSERT_TRUE(serial_rows.ok()) << serial_rows.status().ToString();
+  ASSERT_TRUE(pooled_rows.ok()) << pooled_rows.status().ToString();
+  ASSERT_FALSE(serial_rows->empty());
+  EXPECT_EQ(*serial_rows, *pooled_rows);
+  ExpectSameSimulatedMetrics(serial.metrics(), pooled.metrics());
+}
+
+TEST(LangParallelDeterminismTest, BounceRateMatchesSerial) {
+  std::vector<Value> rows;
+  for (const auto& [day, ip] :
+       datagen::GenerateVisits(20000, 16, 0.0, 0.5, 5)) {
+    rows.push_back(Value::MakeTuple({Value(day), Value(ip)}));
+  }
+  ExpectPoolMatchesSerial(BounceRateSurfaceProgram(), "visits", rows);
+}
+
+TEST(LangParallelDeterminismTest, FlatPipelineMatchesSerial) {
+  // let cut = 700
+  // xs.filter(p => p._1 < cut).map(p => (p._0, p._1 * 2)).reduceByKey(_ + _)
+  using B = BinOpKind;
+  Program p;
+  p.stmts.push_back(Stmt{"cut", Lit(Value(700))});
+  p.stmts.push_back(Stmt{
+      "summed",
+      ReduceByKey(
+          Map(Filter(Source("xs"),
+                     Lam("p", BinOp(B::kLt, Field(Var("p"), 1), Var("cut")))),
+              Lam("p", MakeTuple({Field(Var("p"), 0),
+                                  BinOp(B::kMul, Field(Var("p"), 1),
+                                        Lit(Value(2)))}))),
+          Lam2("a", "b", BinOp(B::kAdd, Var("a"), Var("b"))))});
+  p.result = "summed";
+  std::vector<Value> rows;
+  for (int64_t i = 0; i < 20000; ++i) {
+    rows.push_back(Value::MakeTuple({Value(i % 97), Value(i % 1000)}));
+  }
+  ExpectPoolMatchesSerial(p, "xs", rows);
 }
 
 }  // namespace

@@ -314,6 +314,76 @@ TEST(ServingDriverTest, LangProgramPlanBindsRequestParams) {
   EXPECT_EQ(rows.back(), lang::Value(int64_t{200}));
 }
 
+/// The bounce-rate program (Listing 1) over the "visits" source, with the
+/// request's what-if visit (param "whatif", a (day, ip) tuple) unioned in.
+Result<PlanSpec> WhatIfBounceRateSpec() {
+  using lang::BinOpKind;
+  lang::Program p;
+  p.stmts.push_back(
+      {"log", lang::UnionOf(lang::Source("visits"), lang::Source("whatif"))});
+  p.stmts.push_back({"perDay", lang::GroupByKey(lang::Var("log"))});
+  std::vector<lang::Stmt> udf;
+  udf.push_back(
+      {"countsPerIP",
+       lang::ReduceByKey(
+           lang::Map(lang::Var("group"),
+                     lang::Lam("ip", lang::MakeTuple({lang::Var("ip"),
+                                                      lang::Lit(1)}))),
+           lang::Lam2("a", "b", lang::BinOp(BinOpKind::kAdd, lang::Var("a"),
+                                            lang::Var("b"))))});
+  udf.push_back(
+      {"numBounces",
+       lang::Count(lang::Filter(
+           lang::Var("countsPerIP"),
+           lang::Lam("c", lang::BinOp(BinOpKind::kEq,
+                                      lang::Field(lang::Var("c"), 1),
+                                      lang::Lit(1)))))});
+  udf.push_back({"numTotal", lang::Count(lang::Distinct(lang::Var("group")))});
+  p.stmts.push_back(
+      {"rates",
+       lang::Map(lang::Var("perDay"),
+                 lang::LamProgram({"day", "group"}, std::move(udf),
+                                  lang::BinOp(BinOpKind::kDiv,
+                                              lang::Var("numBounces"),
+                                              lang::Var("numTotal"))))});
+  p.result = "rates";
+
+  auto rows = std::make_shared<std::vector<lang::Value>>();
+  for (int64_t i = 0; i < 200; ++i) {
+    rows->push_back(lang::Value::MakeTuple(
+        {lang::Value(i % 4), lang::Value(i % 37)}));
+  }
+  return MakeLangPlanSpec("whatif_bounce_rate", p,
+                          {LangSource{"visits", rows, 4}});
+}
+
+TEST(ServingLangPlanTest, WrongShapedParamFailsOnlyItsRequest) {
+  PlanRegistry registry;
+  Result<PlanSpec> spec = WhatIfBounceRateSpec();
+  ASSERT_TRUE(spec.ok()) << spec.status().message();
+  ASSERT_TRUE(registry.Register(std::move(spec).value()).ok());
+  ServingDriver driver(&registry, BaseServing(EngineConfig()));
+
+  // A bare int where the plan expects a (day, ip) row.
+  ServeRequest bad;
+  bad.plan = "whatif_bounce_rate";
+  bad.params.Set("whatif", lang::Value(int64_t{5}));
+  ServeResponse failed = driver.Execute(bad);
+  ASSERT_FALSE(failed.status.ok());
+  EXPECT_NE(failed.status.message().find("not a tuple"), std::string::npos)
+      << failed.status.ToString();
+
+  ServeRequest good;
+  good.plan = "whatif_bounce_rate";
+  good.params.Set("whatif", lang::Value::MakeTuple({lang::Value(int64_t{0}),
+                                                    lang::Value(int64_t{99})}));
+  ServeResponse served = driver.Execute(good);
+  ASSERT_TRUE(served.status.ok()) << served.status.ToString();
+  ASSERT_EQ(served.output.partitions.size(), 1u);
+  EXPECT_EQ(served.output.partitions[0].size(), 4u);  // one rate per day
+  EXPECT_EQ(driver.GetStats().failed, 1);
+}
+
 // --- admission control -----------------------------------------------------
 
 /// A plan that parks until released; lets tests fill the queue / pin the
