@@ -3,13 +3,13 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
-#include "common/hash.h"
 #include "engine/bag.h"
+#include "engine/external/external_group.h"
 #include "engine/join.h"
+#include "engine/keyed_index.h"
 #include "engine/ops.h"
 #include "engine/shuffle.h"
 
@@ -89,9 +89,10 @@ Bag<T> Subtract(const Bag<T>& a, const Bag<T>& b,
   c->AccrueStage(costs, /*lineage_depth=*/1, StageContext{"subtract"});
   typename Bag<T>::Partitions out(static_cast<std::size_t>(parts));
   internal::GuardedParallelFor(c, static_cast<std::size_t>(parts), [&](std::size_t i) {
-    std::unordered_set<T, Hasher> exclude(bs[i].begin(), bs[i].end());
+    std::vector<T> exclude;
+    const KeyedIndex index = DistinctInto(bs[i], &exclude);
     for (const auto& x : as[i]) {
-      if (!exclude.count(x)) out[i].push_back(x);
+      if (!index.Find(x, exclude).found()) out[i].push_back(x);
     }
   });
   return Bag<T>(c, std::move(out), a.scale());
@@ -122,10 +123,17 @@ Bag<T> Intersection(const Bag<T>& a, const Bag<T>& b,
   c->AccrueStage(costs, /*lineage_depth=*/1, StageContext{"intersection"});
   typename Bag<T>::Partitions out(static_cast<std::size_t>(parts));
   internal::GuardedParallelFor(c, static_cast<std::size_t>(parts), [&](std::size_t i) {
-    std::unordered_set<T, Hasher> right(bs[i].begin(), bs[i].end());
-    std::unordered_set<T, Hasher> seen;
+    std::vector<T> right;
+    const KeyedIndex index = DistinctInto(bs[i], &right);
+    // One flag per right-side slot: an element is emitted at its first
+    // occurrence in `a`.
+    std::vector<bool> emitted(right.size(), false);
     for (const auto& x : as[i]) {
-      if (right.count(x) && seen.insert(x).second) out[i].push_back(x);
+      const KeyedIndex::Probe probe = index.Find(x, right);
+      if (probe.found() && !emitted[probe.slot]) {
+        emitted[probe.slot] = true;
+        out[i].push_back(x);
+      }
     }
   });
   return Bag<T>(c, std::move(out), std::min(a.scale(), b.scale()));
@@ -142,23 +150,24 @@ Bag<std::pair<K, A>> AggregateByKey(const Bag<std::pair<K, V>>& bag, A zero,
                                     int64_t num_partitions = -1,
                                     double weight = 1.0,
                                     double result_scale = -1.0) {
-  // Absorb values into accumulators map-side — emitting keys in
-  // first-occurrence order, the canonical keyed-build order (see
-  // external/external_group.h) — then merge accumulators with an ordinary
-  // (budget-aware) ReduceByKey.
+  // Absorb values into accumulators map-side with the in-memory keyed build
+  // — emitting keys in first-occurrence order, the canonical keyed-build
+  // order (see external/external_group.h) — then merge accumulators with an
+  // ordinary (budget-aware) ReduceByKey.
   auto partials = MapPartitions(
       bag,
       [zero, seq](const std::vector<std::pair<K, V>>& part) {
-        std::unordered_map<K, std::size_t, Hasher> index;
-        index.reserve(part.size());
-        std::vector<std::pair<K, A>> out;
-        for (const auto& [k, v] : part) {
-          auto [it, inserted] = index.try_emplace(k, out.size());
-          if (inserted) out.emplace_back(k, zero);
-          A& acc = out[it->second].second;
-          acc = seq(acc, v);
-        }
-        return out;
+        auto init = [&](V&& v) { return seq(zero, v); };
+        auto absorb = [&](A& acc, V&& v) { acc = seq(acc, v); };
+        auto growth = [](const V&) { return std::size_t{0}; };
+        // Never spills: the quota is unbounded, so no stats are written.
+        external::BoundedAggregator<K, V, A, decltype(init), decltype(absorb),
+                                    decltype(growth)>
+            agg(static_cast<std::size_t>(-1), init, absorb, growth,
+                /*stats=*/nullptr);
+        agg.Reserve(part.size());
+        for (const auto& [k, v] : part) agg.Feed(k, v);
+        return agg.Finish();
       },
       weight);
   return ReduceByKey(partials, comb, num_partitions, weight, result_scale);

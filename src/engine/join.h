@@ -2,13 +2,13 @@
 #define MATRYOSHKA_ENGINE_JOIN_H_
 
 #include <cstdint>
+#include <memory>
 #include <optional>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "common/hash.h"
 #include "engine/bag.h"
+#include "engine/keyed_index.h"
 #include "engine/shuffle.h"
 
 /// Binary operators of the flat engine: equi-joins (repartition and
@@ -36,20 +36,89 @@ int64_t ResolveJoinParallelism(Cluster* c, int64_t requested, const Bag<L>& l,
 
 /// Shuffles one join input onto `parts` key partitions, or reuses its
 /// existing layout (charging only the scan, no network) when it is already
-/// co-partitioned.
+/// co-partitioned. A co-partitioned side is read in place: the handle shares
+/// the bag's partitions instead of copying them.
 template <typename K, typename V>
-typename Bag<std::pair<K, V>>::Partitions JoinSide(
+std::shared_ptr<const typename Bag<std::pair<K, V>>::Partitions> JoinSide(
     const Bag<std::pair<K, V>>& side, int64_t parts,
     const char* label = "join[side]") {
   if (AlreadyKeyPartitioned(side, parts)) {
     ChargeScanStage(side, 0.25, label);
-    return side.partitions();
+    return side.shared_partitions();
   }
-  return ShuffleBy(
-      side, parts,
-      [&](const std::pair<K, V>& x) { return PartitionOfKey(x.first, parts); },
-      0.25, label);
+  return std::make_shared<const typename Bag<std::pair<K, V>>::Partitions>(
+      ShuffleBy(
+          side, parts,
+          [&](const std::pair<K, V>& x) {
+            return PartitionOfKey(x.first, parts);
+          },
+          0.25, label));
 }
+
+/// A join's build side in CSR form, shared by RepartitionJoin,
+/// LeftOuterJoin and BroadcastJoin. A count pass numbers the keys in
+/// first-occurrence order (KeyedIndex) and counts each key's values; prefix
+/// offsets then give key s the range [offsets[s], offsets[s + 1]) of one
+/// contiguous value array, filled in arrival order. So a probe yields each
+/// key's matches in the order the build side delivered them.
+template <typename K, typename W>
+class CsrJoinBuild {
+ public:
+  /// Builds over `n` partitions starting at `parts`, in partition order.
+  CsrJoinBuild(const std::vector<std::pair<K, W>>* parts, std::size_t n) {
+    std::size_t total = 0;
+    for (std::size_t p = 0; p < n; ++p) total += parts[p].size();
+    index_.Reserve(total);
+    // Count pass. offsets_[s + 1] counts key s's values; slot_of remembers
+    // each element's key for the fill pass.
+    std::vector<uint32_t> slot_of;
+    slot_of.reserve(total);
+    offsets_.push_back(0);
+    for (std::size_t p = 0; p < n; ++p) {
+      for (const auto& [k, w] : parts[p]) {
+        const KeyedIndex::Probe probe = index_.Find(k, keys_);
+        uint32_t slot = probe.slot;
+        if (!probe.found()) {
+          slot = index_.Insert(probe);
+          keys_.push_back(k);
+          offsets_.push_back(0);
+        }
+        offsets_[slot + 1] += 1;
+        slot_of.push_back(slot);
+      }
+    }
+    for (std::size_t s = 1; s < offsets_.size(); ++s) {
+      offsets_[s] += offsets_[s - 1];
+    }
+    // Fill pass, in arrival order.
+    values_.resize(total);
+    std::vector<std::size_t> cursor(offsets_.begin(), offsets_.end() - 1);
+    std::size_t j = 0;
+    for (std::size_t p = 0; p < n; ++p) {
+      for (const auto& kw : parts[p]) {
+        values_[cursor[slot_of[j++]]++] = kw.second;
+      }
+    }
+  }
+
+  /// Positions [first, second) in values() of `key`'s matches; empty when
+  /// the build side has no such key. Positions, not pointers:
+  /// std::vector<bool> (the control-flow joins against boolean conditions)
+  /// has no data().
+  std::pair<std::size_t, std::size_t> Probe(const K& key) const {
+    const KeyedIndex::Probe probe = index_.Find(key, keys_);
+    if (!probe.found()) return {0, 0};
+    return {offsets_[probe.slot], offsets_[probe.slot + 1]};
+  }
+
+  const std::vector<W>& values() const { return values_; }
+
+ private:
+  KeyedIndex index_;
+  std::vector<K> keys_;               ///< slot order
+  std::vector<std::size_t> offsets_;  ///< keys_.size() + 1 prefix offsets
+  std::vector<W> values_;
+};
 
 }  // namespace internal
 
@@ -71,8 +140,10 @@ Bag<std::pair<K, std::pair<V, W>>> RepartitionJoin(
       internal::ResolveJoinParallelism(c, num_partitions, left, right);
   const double out_scale = std::max(left.scale(), right.scale());
 
-  auto ls = internal::JoinSide(left, parts, "join[left]");
-  auto rs = internal::JoinSide(right, parts, "join[right]");
+  const auto ls_parts = internal::JoinSide(left, parts, "join[left]");
+  const auto rs_parts = internal::JoinSide(right, parts, "join[right]");
+  const auto& ls = *ls_parts;
+  const auto& rs = *rs_parts;
   const double build_bytes =
       RealBagBytes(right) / static_cast<double>(c->planning_machines());
   const double spill = c->SpillFactor(build_bytes);
@@ -92,14 +163,11 @@ Bag<std::pair<K, std::pair<V, W>>> RepartitionJoin(
   typename Bag<Out>::Partitions out(static_cast<std::size_t>(parts));
   internal::GuardedParallelFor(
       c, static_cast<std::size_t>(parts), [&](std::size_t i) {
-        std::unordered_map<K, std::vector<W>, Hasher> build;
-        build.reserve(rs[i].size());
-        for (const auto& [k, w] : rs[i]) build[k].push_back(w);
+        const internal::CsrJoinBuild<K, W> build(&rs[i], 1);
         for (const auto& [k, v] : ls[i]) {
-          auto it = build.find(k);
-          if (it == build.end()) continue;
-          for (const auto& w : it->second) {
-            out[i].emplace_back(k, std::pair<V, W>(v, w));
+          const auto [first, last] = build.Probe(k);
+          for (std::size_t j = first; j < last; ++j) {
+            out[i].emplace_back(k, std::pair<V, W>(v, build.values()[j]));
           }
         }
       });
@@ -151,14 +219,11 @@ Bag<std::pair<K, std::pair<V, W>>> BroadcastJoin(
     c->NoteBroadcastResident(payload);
   }
 
-  // The broadcast build table stays single-threaded: it is one global hash
-  // map over the (small by contract) right side; per-partition probe work
+  // The broadcast build table stays single-threaded: it is one global CSR
+  // build over the (small by contract) right side; per-partition probe work
   // below is where the real time goes, and that runs on the pool.
-  std::unordered_map<K, std::vector<W>, Hasher> build;
-  build.reserve(static_cast<std::size_t>(right.Size()));
-  for (const auto& part : right.partitions()) {
-    for (const auto& [k, w] : part) build[k].push_back(w);
-  }
+  const internal::CsrJoinBuild<K, W> build(right.partitions().data(),
+                                           right.partitions().size());
   // Every probe task pays for building its hash table over the broadcast
   // data (Spark deserializes the broadcast per executor): charge the probe
   // scan plus a per-task build of right.RealSize() elements.
@@ -174,10 +239,9 @@ Bag<std::pair<K, std::pair<V, W>>> BroadcastJoin(
   typename Bag<Out>::Partitions out(left.partitions().size());
   internal::GuardedParallelFor(c, left.partitions().size(), [&](std::size_t i) {
     for (const auto& [k, v] : left.partitions()[i]) {
-      auto it = build.find(k);
-      if (it == build.end()) continue;
-      for (const auto& w : it->second) {
-        out[i].emplace_back(k, std::pair<V, W>(v, w));
+      const auto [first, last] = build.Probe(k);
+      for (std::size_t j = first; j < last; ++j) {
+        out[i].emplace_back(k, std::pair<V, W>(v, build.values()[j]));
       }
     }
   });
@@ -206,8 +270,11 @@ Bag<std::pair<K, std::pair<V, std::optional<W>>>> LeftOuterJoin(
       internal::ResolveJoinParallelism(c, num_partitions, left, right);
   const double out_scale = std::max(left.scale(), right.scale());
 
-  auto ls = internal::JoinSide(left, parts, "leftOuterJoin[left]");
-  auto rs = internal::JoinSide(right, parts, "leftOuterJoin[right]");
+  const auto ls_parts = internal::JoinSide(left, parts, "leftOuterJoin[left]");
+  const auto rs_parts =
+      internal::JoinSide(right, parts, "leftOuterJoin[right]");
+  const auto& ls = *ls_parts;
+  const auto& rs = *rs_parts;
   std::vector<double> costs(static_cast<std::size_t>(parts));
   for (int64_t i = 0; i < parts; ++i) {
     costs[static_cast<std::size_t>(i)] = c->ComputeCost(
@@ -220,18 +287,18 @@ Bag<std::pair<K, std::pair<V, std::optional<W>>>> LeftOuterJoin(
   typename Bag<Out>::Partitions out(static_cast<std::size_t>(parts));
   internal::GuardedParallelFor(
       c, static_cast<std::size_t>(parts), [&](std::size_t i) {
-        std::unordered_map<K, std::vector<W>, Hasher> build;
-        build.reserve(rs[i].size());
-        for (const auto& [k, w] : rs[i]) build[k].push_back(w);
+        const internal::CsrJoinBuild<K, W> build(&rs[i], 1);
+        // Every left element yields at least one row.
+        out[i].reserve(ls[i].size());
         for (const auto& [k, v] : ls[i]) {
-          auto it = build.find(k);
-          if (it == build.end()) {
+          const auto [first, last] = build.Probe(k);
+          if (first == last) {
             out[i].emplace_back(
                 k, std::pair<V, std::optional<W>>(v, std::nullopt));
-          } else {
-            for (const auto& w : it->second) {
-              out[i].emplace_back(k, std::pair<V, std::optional<W>>(v, w));
-            }
+          }
+          for (std::size_t j = first; j < last; ++j) {
+            out[i].emplace_back(
+                k, std::pair<V, std::optional<W>>(v, build.values()[j]));
           }
         }
       });
@@ -255,8 +322,10 @@ Bag<std::pair<K, std::pair<std::vector<V>, std::vector<W>>>> CoGroup(
       internal::ResolveJoinParallelism(c, num_partitions, left, right);
   const double out_scale = std::max(left.scale(), right.scale());
 
-  auto ls = internal::JoinSide(left, parts, "cogroup[left]");
-  auto rs = internal::JoinSide(right, parts, "cogroup[right]");
+  const auto ls_parts = internal::JoinSide(left, parts, "cogroup[left]");
+  const auto rs_parts = internal::JoinSide(right, parts, "cogroup[right]");
+  const auto& ls = *ls_parts;
+  const auto& rs = *rs_parts;
   std::vector<double> costs(static_cast<std::size_t>(parts));
   for (int64_t i = 0; i < parts; ++i) {
     costs[static_cast<std::size_t>(i)] = c->ComputeCost(
@@ -305,12 +374,10 @@ Bag<std::pair<K, std::pair<std::vector<V>, std::vector<W>>>> CoGroup(
                                 decltype(push), decltype(growth)>
         agg(quota, init, push, growth, &spill_stats[i], c->failpoints(),
             /*stream_id=*/i);
-    for (auto& [k, v] : ls[i]) {
-      agg.Feed(k, Side(std::move(v), std::nullopt));
-    }
-    for (auto& [k, w] : rs[i]) {
-      agg.Feed(k, Side(std::nullopt, std::move(w)));
-    }
+    // The sides may be a co-partitioned bag's own partitions, read in
+    // place, so values are copied as they feed.
+    for (const auto& [k, v] : ls[i]) agg.Feed(k, Side(v, std::nullopt));
+    for (const auto& [k, w] : rs[i]) agg.Feed(k, Side(std::nullopt, w));
     out[i] = agg.Finish();
     build_status[i] = agg.status();
     for (const auto& [k, g] : out[i]) {

@@ -3,7 +3,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -12,6 +11,7 @@
 #include "engine/bag.h"
 #include "engine/external/external_group.h"
 #include "engine/external/external_scatter.h"
+#include "engine/keyed_index.h"
 #include "engine/ops.h"
 #include "engine/parallel_shuffle.h"
 
@@ -131,6 +131,7 @@ std::vector<std::vector<std::pair<K, V>>> ReduceBuild(
                                 decltype(growth)>
         agg(quota, init, absorb, growth, &stats[i], c->failpoints(),
             /*stream_id=*/i);
+    agg.Reserve(in[i].size());
     for (const auto& [k, v] : in[i]) agg.Feed(k, v);
     out[i] = agg.Finish();
     status[i] = agg.status();
@@ -398,11 +399,7 @@ Bag<T> Distinct(const Bag<T>& bag, int64_t num_partitions = -1,
   internal::ChargeScanStage(bag, 0.5, "distinct[pre]");
   typename Bag<T>::Partitions pre(bag.partitions().size());
   internal::GuardedParallelFor(c, bag.partitions().size(), [&](std::size_t i) {
-    std::unordered_set<T, Hasher> seen;
-    seen.reserve(bag.partitions()[i].size());
-    for (const auto& x : bag.partitions()[i]) {
-      if (seen.insert(x).second) pre[i].push_back(x);
-    }
+    DistinctInto(bag.partitions()[i], &pre[i]);
   });
   Bag<T> pre_bag(c, std::move(pre), out_scale);
 
@@ -421,11 +418,7 @@ Bag<T> Distinct(const Bag<T>& bag, int64_t num_partitions = -1,
 
   typename Bag<T>::Partitions out(static_cast<std::size_t>(parts));
   internal::GuardedParallelFor(c, shuffled.size(), [&](std::size_t i) {
-    std::unordered_set<T, Hasher> seen;
-    seen.reserve(shuffled[i].size());
-    for (const auto& x : shuffled[i]) {
-      if (seen.insert(x).second) out[i].push_back(x);
-    }
+    DistinctInto(shuffled[i], &out[i]);
   });
   return Bag<T>(c, std::move(out), out_scale);
 }

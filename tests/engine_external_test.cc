@@ -237,6 +237,36 @@ TEST(ExternalDeterminismTest, SpillFileIsUnlinkedAndCountsLive) {
   EXPECT_EQ(count_visible(), 0);
 }
 
+TEST(ExternalDeterminismTest, ScatterOpensNoSpillFileWhileProducersFit) {
+  // A budgeted wide op whose producers all fit their quota must not touch
+  // the temp dir: with TMPDIR pointing nowhere, creating a spill file would
+  // abort the process. The reference runs first, with TMPDIR intact (a
+  // forced MATRYOSHKA_REAL_BUDGET applies to the budget-0 config).
+  auto run = [](std::size_t budget) {
+    Cluster c(Config(true, budget));
+    auto out = ReduceByKey(MakePairs(&c),
+                           [](int64_t a, int64_t b) { return a + b; });
+    EXPECT_TRUE(c.ok());
+    return out.partitions();
+  };
+  const auto expected = run(0);
+  const char* prev = std::getenv("TMPDIR");
+  const std::optional<std::string> saved =
+      prev != nullptr ? std::optional<std::string>(prev) : std::nullopt;
+  const std::filesystem::path missing =
+      std::filesystem::temp_directory_path() / "matryoshka-no-such-dir";
+  ASSERT_FALSE(std::filesystem::exists(missing));
+  ::setenv("TMPDIR", missing.c_str(), /*overwrite=*/1);
+  const auto got = run(std::size_t{1} << 30);
+  if (saved.has_value()) {
+    ::setenv("TMPDIR", saved->c_str(), /*overwrite=*/1);
+  } else {
+    ::unsetenv("TMPDIR");
+  }
+  EXPECT_EQ(got, expected);
+  EXPECT_EQ(SpillFile::LiveCount(), 0);
+}
+
 // --- External scatter kernel ---------------------------------------------
 
 TEST(ExternalDeterminismTest, ExternalScatterMatchesReferenceLoop) {

@@ -320,6 +320,57 @@ TEST_F(EngineOpsTest, CoGroupGathersBothSides) {
   EXPECT_EQ(v[2].second.second.size(), 1u);
 }
 
+/// A join payload that counts its copies (moves are free).
+struct CopyCounted {
+  static inline int64_t copies = 0;
+  int64_t v = 0;
+  CopyCounted() = default;
+  explicit CopyCounted(int64_t x) : v(x) {}
+  CopyCounted(const CopyCounted& o) : v(o.v) { ++copies; }
+  CopyCounted(CopyCounted&&) noexcept = default;
+  CopyCounted& operator=(const CopyCounted& o) {
+    v = o.v;
+    ++copies;
+    return *this;
+  }
+  CopyCounted& operator=(CopyCounted&&) noexcept = default;
+};
+
+}  // namespace
+}  // namespace matryoshka::engine
+
+template <>
+struct matryoshka::sizing_internal::Sizer<matryoshka::engine::CopyCounted> {
+  static std::size_t Of(const matryoshka::engine::CopyCounted&) {
+    return sizeof(matryoshka::engine::CopyCounted);
+  }
+};
+
+namespace matryoshka::engine {
+namespace {
+
+TEST_F(EngineOpsTest, CoPartitionedJoinSideIsReadInPlace) {
+  // A co-partitioned left side is reused as laid out: the joins copy each
+  // left value once, into its output row, and never the side itself.
+  std::vector<std::pair<int64_t, CopyCounted>> left;
+  std::vector<std::pair<int64_t, int64_t>> right;
+  for (int64_t i = 0; i < 200; ++i) left.emplace_back(i % 40, CopyCounted(i));
+  for (int64_t i = 0; i < 30; ++i) right.emplace_back(i % 25, i);
+  auto l = PartitionByKey(Parallelize(&cluster_, left, 3), 8);
+  auto r = Parallelize(&cluster_, right, 2);
+  l.partitions();  // materialize before counting
+
+  CopyCounted::copies = 0;
+  const int64_t inner_rows = RepartitionJoin(l, r).Size();
+  EXPECT_GT(inner_rows, 0);
+  EXPECT_EQ(CopyCounted::copies, inner_rows);
+
+  CopyCounted::copies = 0;
+  const int64_t outer_rows = LeftOuterJoin(l, r).Size();
+  EXPECT_GT(outer_rows, inner_rows);  // keys 25..39 have no match
+  EXPECT_EQ(CopyCounted::copies, outer_rows);
+}
+
 TEST_F(EngineOpsTest, CartesianProducesAllPairs) {
   auto a = Parallelize(&cluster_, Iota(4), 2);
   auto b = Parallelize(&cluster_, Iota(3), 2);
