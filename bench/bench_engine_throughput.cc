@@ -32,7 +32,6 @@
 #include "bench/bench_util.h"
 #include "common/stopwatch.h"
 #include "engine/bag.h"
-#include "engine/extra_ops.h"
 #include "engine/iterate.h"
 #include "engine/join.h"
 #include "engine/ops.h"

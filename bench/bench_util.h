@@ -9,6 +9,7 @@
 #include <cstring>
 #include <fstream>
 #include <initializer_list>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -29,7 +30,8 @@
 ///
 /// Observability: every binary built with MATRYOSHKA_BENCH_MAIN accepts
 ///   --trace=FILE         Chrome/Perfetto trace_event JSON of all runs
-///   --metrics-json=FILE  machine-readable per-run metrics + breakdown
+///   --metrics-json=FILE  machine-readable per-run metrics (+ breakdown of
+///                        traced runs)
 /// (both stripped before benchmark::Initialize). Benchmarks opt runs in by
 /// calling ObsAttach(&cluster, "figN/variant", {args}) before the state
 /// loop; with neither flag present the cluster keeps a null trace sink and
@@ -251,7 +253,8 @@ class ObsSession {
     bool ok = true;
     std::string status;
     engine::Metrics metrics;
-    obs::Breakdown breakdown;
+    /// Only traced runs (ReportRun) have one.
+    std::optional<obs::Breakdown> breakdown;
     bool has_wall = false;
     WallStats wall;
   };
@@ -311,8 +314,11 @@ class ObsSession {
       os << ", \"hoisted_broadcast_reuses\": " << m.hoisted_broadcast_reuses;
       os << ", \"convergence_checks_in_engine\": "
          << m.convergence_checks_in_engine;
-      os << "},\n     \"breakdown\": ";
-      obs::WriteBreakdownJson(rec.breakdown, os);
+      os << "}";
+      if (rec.breakdown.has_value()) {
+        os << ",\n     \"breakdown\": ";
+        obs::WriteBreakdownJson(*rec.breakdown, os);
+      }
       if (rec.has_wall) {
         os << ",\n     \"wall\": {";
         os << "\"real_s\": " << obs::JsonDouble(rec.wall.real_s);

@@ -4,7 +4,8 @@
 # drops it next to the repo root (override with -o). The snapshot carries one
 # record per benchmark run — status, the full simulated Metrics (including
 # the additive real-spill counters real_spilled_bytes / real_spill_events /
-# real_spill_runs), and the observability time breakdown (see
+# real_spill_runs), the observability time breakdown of traced runs, and the
+# "wall" stats of wall-clock runs, which carry no breakdown (see
 # bench/bench_util.h for the schema; arm-specific assertions live in
 # scripts/check.sh perf mode).
 #

@@ -7,7 +7,6 @@
 #include "core/inner_bag.h"
 #include "core/inner_scalar.h"
 #include "core/lifting_context.h"
-#include "core/nested_bag.h"
 #include "core/tag.h"
 #include "engine/join.h"
 #include "engine/ops.h"
@@ -40,50 +39,12 @@ InnerScalar<T> LiftElements(const InnerBag<T>& bag) {
 }
 
 /// Equi-join between a deep (child-level) InnerBag and a shallow
-/// (parent-level) InnerBag: a deep element with tag t matches shallow
-/// elements with tag t.Parent() and the same key K. This is how per-instance
-/// state (e.g. a BFS frontier, depth d) meets per-group data shared by all
-/// instances of the group (e.g. the component's edges, depth d-1) without
-/// replicating the group data per instance eagerly.
-template <typename K, typename V, typename W>
-InnerBag<std::pair<K, std::pair<V, W>>> LiftedJoinWithParent(
-    const InnerBag<std::pair<K, V>>& deep,
-    const InnerBag<std::pair<K, W>>& shallow, int64_t num_partitions = -1) {
-  using PK = std::pair<Tag, K>;  // (parent tag, key)
-  auto deep_rekeyed = engine::Map(
-      deep.repr(), [](const std::pair<Tag, std::pair<K, V>>& p) {
-        return std::pair<PK, std::pair<Tag, V>>(
-            PK(p.first.Parent(), p.second.first),
-            std::pair<Tag, V>(p.first, p.second.second));
-      });
-  auto shallow_rekeyed = engine::Map(
-      shallow.repr(), [](const std::pair<Tag, std::pair<K, W>>& p) {
-        return std::pair<PK, W>(PK(p.first, p.second.first), p.second.second);
-      });
-  auto joined =
-      engine::RepartitionJoin(deep_rekeyed, shallow_rekeyed, num_partitions);
-  auto out = engine::Map(
-      joined,
-      [](const std::pair<PK, std::pair<std::pair<Tag, V>, W>>& p) {
-        return std::pair<Tag, std::pair<K, std::pair<V, W>>>(
-            p.second.first.first,
-            std::pair<K, std::pair<V, W>>(
-                p.first.second,
-                std::pair<V, W>(p.second.first.second, p.second.second)));
-      });
-  return InnerBag<std::pair<K, std::pair<V, W>>>(deep.ctx(), std::move(out));
-}
-
-/// Pre-rekeyed (parent-tag, key) static side for repeated cross-level
-/// joins (e.g. the component's edges probed by every BFS frontier
-/// expansion): built once, partitioned once.
-template <typename K, typename W>
-StaticJoinSide<K, W> MakeParentStaticJoinSide(
-    const InnerBag<std::pair<K, W>>& shallow, int64_t num_partitions = -1) {
-  return MakeStaticJoinSide(shallow, num_partitions);
-}
-
-/// LiftedJoinWithParent against a static shallow side: only the deep
+/// (parent-level) static side: a deep element with tag t matches shallow
+/// elements with tag t.Parent() and the same key K. This is how
+/// per-instance state (e.g. a BFS frontier, depth d) meets per-group data
+/// shared by all instances of the group (e.g. the component's edges, depth
+/// d-1) without replicating the group data per instance. The shallow side
+/// is rekeyed and partitioned once (MakeStaticJoinSide); only the deep
 /// (dynamic) side is rekeyed and shuffled per call.
 template <typename K, typename V, typename W>
 InnerBag<std::pair<K, std::pair<V, W>>> LiftedJoinWithParentStatic(
@@ -121,20 +82,6 @@ InnerBag<T> LowerToParent(const InnerScalar<T>& deep,
     return std::pair<Tag, T>(p.first.Parent(), p.second);
   });
   return InnerBag<T>(parent_ctx, std::move(repr));
-}
-
-/// Builds an InnerBag in an existing NestedBag's tag space from a flat
-/// keyed bag sharing the same grouping keys (tags are the deterministic
-/// per-key tags GroupByKeyIntoNestedBag assigns). Lets several collections
-/// grouped by the same key share one lifted UDF, e.g. a component's vertex
-/// list alongside its edge list.
-template <typename K, typename V>
-InnerBag<V> TagByKey(const engine::Bag<std::pair<K, V>>& bag,
-                     const LiftingContext& ctx) {
-  auto repr = engine::Map(bag, [](const std::pair<K, V>& p) {
-    return std::pair<Tag, V>(internal::TagOfKey(p.first), p.second);
-  });
-  return InnerBag<V>(ctx, std::move(repr));
 }
 
 }  // namespace matryoshka::core

@@ -1,16 +1,22 @@
 #ifndef MATRYOSHKA_CORE_NESTED_BAG_H_
 #define MATRYOSHKA_CORE_NESTED_BAG_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <utility>
+#include <vector>
 
 #include "common/hash.h"
+#include "common/status.h"
 #include "core/inner_bag.h"
 #include "core/inner_scalar.h"
 #include "core/lifting_context.h"
 #include "core/optimizer.h"
 #include "core/tag.h"
 #include "engine/bag.h"
+#include "engine/cluster.h"
+#include "engine/keyed_index.h"
 #include "engine/ops.h"
 #include "engine/shuffle.h"
 
@@ -43,10 +49,11 @@ class NestedBag {
 
 namespace internal {
 
-/// Deterministic tag for a grouping key. 64-bit mixed hash; with the group
-/// counts used here (<= a few million), collisions are negligible, and this
+/// Deterministic tag for a grouping key: its 64-bit mixed hash. This
 /// avoids the extra shuffle a zipWithUniqueId-based tag assignment of
-/// grouped keys would need.
+/// grouped keys would need. Two distinct keys with equal hashes would share
+/// a tag, and with it a group; the grouping primitives below detect that
+/// (FailOnTagCollision) instead of merging the groups.
 template <typename K>
 Tag TagOfKey(const K& key) {
   return Tag::Root(static_cast<uint64_t>(Hasher{}(key)));
@@ -55,6 +62,42 @@ Tag TagOfKey(const K& key) {
 template <typename K>
 Tag ChildTagOfKey(const Tag& parent, const K& key) {
   return parent.Child(static_cast<uint64_t>(Hasher{}(key)));
+}
+
+/// Fails the cluster with Unsupported when two elements of the distinct
+/// grouping-key bag `keys` map to one tag under `tag_of`. Keys that collide
+/// have equal hashes, so the key Distinct placed them in one partition:
+/// checking each already-materialized partition on its own finds every
+/// collision, without a charged stage.
+template <typename T, typename TagOf>
+void FailOnTagCollision(const engine::Bag<T>& keys, TagOf tag_of) {
+  engine::Cluster* c = keys.cluster();
+  if (!c->ok()) return;
+  const auto& parts = keys.partitions();
+  std::vector<std::optional<Tag>> collision(parts.size());
+  engine::internal::GuardedParallelFor(c, parts.size(), [&](std::size_t i) {
+    engine::KeyedIndex index;
+    index.Reserve(parts[i].size());
+    std::vector<Tag> seen;
+    seen.reserve(parts[i].size());
+    for (const T& key : parts[i]) {
+      const Tag tag = tag_of(key);
+      const engine::KeyedIndex::Probe probe = index.Find(tag, seen);
+      if (probe.found()) {
+        collision[i] = tag;
+        return;
+      }
+      index.Insert(probe);
+      seen.push_back(tag);
+    }
+  });
+  for (const std::optional<Tag>& tag : collision) {
+    if (tag.has_value()) {
+      c->Fail(Status::Unsupported("distinct grouping keys share tag " +
+                                  tag->ToString() + " (equal key hashes)"));
+      return;
+    }
+  }
 }
 
 }  // namespace internal
@@ -77,6 +120,8 @@ NestedBag<K, V> GroupByKeyIntoNestedBag(const engine::Bag<std::pair<K, V>>& bag,
   // real group count — this is also why the InnerScalar size is exact).
   auto keys = engine::Distinct(engine::Keys(bag), /*num_partitions=*/-1,
                                /*result_scale=*/1.0);
+  internal::FailOnTagCollision(
+      keys, [](const K& k) { return internal::TagOfKey(k); });
   auto keys_repr = engine::Map(keys, [](const K& k) {
     return std::pair<Tag, K>(internal::TagOfKey(k), k);
   });
@@ -106,6 +151,8 @@ NestedBag<K, V> LiftedGroupByKeyIntoNestedBag(
                         p.second.first);
                   }),
       /*num_partitions=*/-1, /*result_scale=*/1.0);
+  internal::FailOnTagCollision(
+      keys_repr_outer, [](const std::pair<Tag, K>& p) { return p.first; });
   const int64_t num_tags = keys_repr_outer.Size();
   auto tags = engine::Keys(keys_repr_outer);
   LiftingContext ctx = outer.Narrowed(tags, num_tags);

@@ -507,18 +507,6 @@ void Cluster::AccrueStage(const std::vector<double>& task_costs_s,
   CheckDeadline();
 }
 
-void Cluster::AccrueUniformStage(int64_t num_tasks, double total_elements,
-                                 double cost_weight,
-                                 const StageContext& stage_ctx) {
-  if (!ok()) return;
-  MATRYOSHKA_DCHECK(num_tasks >= 1);
-  metrics_.elements_processed += static_cast<int64_t>(total_elements);
-  const double per_task =
-      ComputeCost(total_elements, cost_weight) / static_cast<double>(num_tasks);
-  std::vector<double> costs(static_cast<std::size_t>(num_tasks), per_task);
-  AccrueStage(costs, /*lineage_depth=*/1, stage_ctx);
-}
-
 void Cluster::AccrueShuffle(double bytes, const char* label) {
   if (!ok()) return;
   const double scaled = bytes;

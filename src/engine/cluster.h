@@ -117,8 +117,8 @@ struct RecoveryPolicy {
 };
 
 /// Narrow-operator fusion (deferred execution). Narrow operators (Map,
-/// Filter, FlatMap, MapValues, FlatMapValues, ZipWithUniqueId, Sample) do
-/// not execute immediately: they compose onto a pending per-element
+/// Filter, FlatMap, MapValues, FlatMapValues, ZipWithUniqueId) do not
+/// execute immediately: they compose onto a pending per-element
 /// pipeline that the next forcing point (any wide operator, any action,
 /// Checkpoint, or Bag::Force) runs as ONE fused pass per partition. The
 /// simulated cost model is charged at composition time, so data results,
@@ -425,12 +425,6 @@ class Cluster {
   /// cost model.
   void AccrueStage(const std::vector<double>& task_costs_s,
                    int lineage_depth = 1, const StageContext& stage_ctx = {});
-
-  /// Convenience: a stage of `num_tasks` tasks uniformly covering
-  /// `total_elements` real elements with `cost_weight` weight each.
-  void AccrueUniformStage(int64_t num_tasks, double total_elements,
-                          double cost_weight,
-                          const StageContext& stage_ctx = {});
 
   /// Charges moving `bytes` (real, i.e. already multiplied by the source
   /// bag's scale) across the shuffle: each machine sends/receives its share

@@ -9,15 +9,14 @@
 #include <utility>
 #include <vector>
 
-#include "common/hash.h"
 #include "engine/bag.h"
 
 /// Static (expression-template) representation of a pending fused chain.
 ///
-/// Composing Map/Filter/FlatMap/MapValues/FlatMapValues/Sample/
-/// ZipWithUniqueId builds a concrete `MapFeed<F, FilterFeed<P,
-/// SourceFeed<T>>>`-style value whose `Drive` is one monomorphic loop the
-/// compiler can fully inline — no virtual or indirect calls in the hot path.
+/// Composing Map/Filter/FlatMap/MapValues/FlatMapValues/ZipWithUniqueId
+/// builds a concrete `MapFeed<F, FilterFeed<P, SourceFeed<T>>>`-style value
+/// whose `Drive` is one monomorphic loop the compiler can fully inline — no
+/// virtual or indirect calls in the hot path.
 ///
 /// Type erasure happens exactly once, at the chain boundary: every chain is
 /// wrapped into a `Run` closure that `Force()` calls per partition and into
@@ -161,29 +160,6 @@ struct ZipUniqueIdFeed {
     uint64_t j = 0;
     up.Drive(p, [this, &sink, &j, p](auto&& x) {
       sink(Out(j++ * stride + p, std::forward<decltype(x)>(x)));
-    });
-  }
-};
-
-/// Bernoulli sample: a (seed, position, element-hash) draw, with the
-/// position counter kept per Drive call (the stream position equals the
-/// materialized offset, as for ZipUniqueIdFeed).
-template <typename Up>
-struct SampleFeed {
-  using Out = typename Up::Out;
-
-  Up up;
-  uint64_t seed;
-  uint64_t threshold;
-
-  template <typename Sink>
-  void Drive(std::size_t p, Sink&& sink) const {
-    uint64_t pos = p * 0x9e3779b97f4a7c15ULL;
-    up.Drive(p, [this, &sink, &pos](auto&& x) {
-      pos += 0x2545f4914f6cdd1dULL;
-      if (Mix64(seed ^ pos ^ Hasher{}(x)) <= threshold) {
-        sink(Out(std::forward<decltype(x)>(x)));
-      }
     });
   }
 };

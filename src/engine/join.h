@@ -13,11 +13,11 @@
 
 /// Binary operators of the flat engine: equi-joins (repartition and
 /// broadcast physical implementations — Sec. 8.2 of the paper chooses
-/// between these two at runtime), cogroup, and cartesian product.
+/// between these two at runtime) and the left outer join.
 ///
 /// Scale semantics: join outputs take the larger input scale (the join of a
 /// data-sized bag with a key-unique, scale-1 side — the common tag join —
-/// has data-sized output); Cartesian multiplies the scales.
+/// has data-sized output).
 namespace matryoshka::engine {
 
 namespace internal {
@@ -303,144 +303,6 @@ Bag<std::pair<K, std::pair<V, std::optional<W>>>> LeftOuterJoin(
         }
       });
   return Bag<Out>(c, std::move(out), out_scale, parts);
-}
-
-/// Full cogroup: for every key present on either side, the pair of value
-/// lists. Groups materialize per task, so the same memory check as
-/// GroupByKey applies.
-template <typename K, typename V, typename W>
-Bag<std::pair<K, std::pair<std::vector<V>, std::vector<W>>>> CoGroup(
-    const Bag<std::pair<K, V>>& left, const Bag<std::pair<K, W>>& right,
-    int64_t num_partitions = -1) {
-  using Out = std::pair<K, std::pair<std::vector<V>, std::vector<W>>>;
-  MATRYOSHKA_CHECK(left.cluster() == right.cluster());
-  Cluster* c = left.cluster();
-  if (!c->ok()) return Bag<Out>(c);
-  left.Force();   // forcing point for both inputs
-  right.Force();
-  const int64_t parts =
-      internal::ResolveJoinParallelism(c, num_partitions, left, right);
-  const double out_scale = std::max(left.scale(), right.scale());
-
-  const auto ls_parts = internal::JoinSide(left, parts, "cogroup[left]");
-  const auto rs_parts = internal::JoinSide(right, parts, "cogroup[right]");
-  const auto& ls = *ls_parts;
-  const auto& rs = *rs_parts;
-  std::vector<double> costs(static_cast<std::size_t>(parts));
-  for (int64_t i = 0; i < parts; ++i) {
-    costs[static_cast<std::size_t>(i)] = c->ComputeCost(
-        static_cast<double>(ls[i].size()) * left.scale() +
-            static_cast<double>(rs[i].size()) * right.scale(),
-        0.5);
-  }
-  c->AccrueStage(costs, /*lineage_depth=*/1, StageContext{"cogroup"});
-
-  // Group build, parallel across co-partitions, emitting keys in
-  // first-occurrence order over the left-then-right element stream (the
-  // canonical keyed-build order; see external/external_group.h). Under a
-  // real memory budget, elements of non-admitted keys — wrapped as
-  // (optional<V>, optional<W>) so one stream carries both sides — spill and
-  // re-feed in later passes; group contents stay in exact arrival order for
-  // any budget. Per-partition maxima are reduced on the driver so the
-  // memory check is order-independent.
-  using Side = std::pair<std::optional<V>, std::optional<W>>;
-  using Groups = std::pair<std::vector<V>, std::vector<W>>;
-  typename Bag<Out>::Partitions out(static_cast<std::size_t>(parts));
-  std::vector<double> max_bytes(static_cast<std::size_t>(parts), 0.0);
-  std::vector<external::SpillStats> spill_stats(
-      static_cast<std::size_t>(parts));
-  std::vector<Status> build_status(static_cast<std::size_t>(parts));
-  const std::size_t quota =
-      internal::WorkerQuota(c, static_cast<std::size_t>(parts));
-  internal::GuardedParallelFor(
-      c, static_cast<std::size_t>(parts), [&](std::size_t i) {
-    auto push = [](Groups& g, Side&& s) {
-      if (s.first.has_value()) {
-        g.first.push_back(std::move(*s.first));
-      } else {
-        g.second.push_back(std::move(*s.second));
-      }
-    };
-    auto init = [&push](Side&& s) {
-      Groups g;
-      push(g, std::move(s));
-      return g;
-    };
-    auto growth = [](const Side& s) {
-      return s.first.has_value() ? EstimateSize(*s.first)
-                                 : EstimateSize(*s.second);
-    };
-    external::BoundedAggregator<K, Side, Groups, decltype(init),
-                                decltype(push), decltype(growth)>
-        agg(quota, init, push, growth, &spill_stats[i], c->failpoints(),
-            /*stream_id=*/i);
-    // The sides may be a co-partitioned bag's own partitions, read in
-    // place, so values are copied as they feed.
-    for (const auto& [k, v] : ls[i]) agg.Feed(k, Side(v, std::nullopt));
-    for (const auto& [k, w] : rs[i]) agg.Feed(k, Side(std::nullopt, w));
-    out[i] = agg.Finish();
-    build_status[i] = agg.status();
-    for (const auto& [k, g] : out[i]) {
-      double bytes = static_cast<double>(sizeof(Out));
-      if (!g.first.empty()) {
-        bytes += EstimateSize(g.first.front()) *
-                 static_cast<double>(g.first.size()) * left.scale();
-      }
-      if (!g.second.empty()) {
-        bytes += EstimateSize(g.second.front()) *
-                 static_cast<double>(g.second.size()) * right.scale();
-      }
-      max_bytes[i] = std::max(max_bytes[i], bytes);
-    }
-  });
-  external::SpillStats group_spill;
-  for (const auto& s : spill_stats) group_spill.Add(s);
-  c->NoteRealSpill(group_spill, "cogroup");
-  for (const Status& st : build_status) {
-    if (!st.ok()) {
-      c->Fail(st);
-      return Bag<Out>(c);
-    }
-  }
-  double max_group_bytes = 0.0;
-  for (double b : max_bytes) max_group_bytes = std::max(max_group_bytes, b);
-  c->CheckTaskMemory(max_group_bytes, "cogroup");
-  if (!c->ok()) return Bag<Out>(c);
-  return Bag<Out>(c, std::move(out), out_scale, parts);
-}
-
-/// Cartesian product, implemented by broadcasting the right side (which
-/// must therefore fit on one machine). The output scale is the product of
-/// the input scales (|L_real| x |R_real| pairs).
-template <typename A, typename B>
-Bag<std::pair<A, B>> Cartesian(const Bag<A>& left, const Bag<B>& right) {
-  using Out = std::pair<A, B>;
-  MATRYOSHKA_CHECK(left.cluster() == right.cluster());
-  Cluster* c = left.cluster();
-  if (!c->ok()) return Bag<Out>(c);
-  left.Force();   // forcing point for both inputs
-  right.Force();
-  const double out_scale = left.scale() * right.scale();
-  c->AccrueBroadcast(RealBagBytes(right), "cartesian");
-  if (!c->ok()) return Bag<Out>(c);
-
-  std::vector<B> rhs = right.ToVector();
-  std::vector<double> costs;
-  costs.reserve(left.partitions().size());
-  for (const auto& part : left.partitions()) {
-    costs.push_back(c->ComputeCost(
-        static_cast<double>(part.size() * rhs.size()) * out_scale, 0.5));
-  }
-  c->AccrueStage(costs, left.lineage_depth(), StageContext{"cartesian"});
-
-  typename Bag<Out>::Partitions out(left.partitions().size());
-  internal::GuardedParallelFor(c, left.partitions().size(), [&](std::size_t i) {
-    out[i].reserve(left.partitions()[i].size() * rhs.size());
-    for (const auto& a : left.partitions()[i]) {
-      for (const auto& b : rhs) out[i].emplace_back(a, b);
-    }
-  });
-  return Bag<Out>(c, std::move(out), out_scale);
 }
 
 }  // namespace matryoshka::engine

@@ -10,9 +10,8 @@
 #include "common/logging.h"
 
 /// The one hash structure behind every keyed build of the engine:
-/// BoundedAggregator (ReduceByKey's three builds, GroupByKey, CoGroup,
-/// AggregateByKey's map side), both Distinct passes, Subtract, Intersection
-/// and the CSR join build (join.h).
+/// BoundedAggregator (ReduceByKey's three builds, GroupByKey), both
+/// Distinct passes and the CSR join build (join.h).
 ///
 /// KeyedIndex maps a key to a dense SLOT, numbered 0, 1, 2, ... in the
 /// order the keys first occur: exactly the canonical first-occurrence order

@@ -4,8 +4,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
-#include <optional>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -26,8 +24,8 @@
 ///  - Operators are no-ops returning empty results once the owning cluster
 ///    is in a failed state (sticky status; check cluster->status() at the
 ///    end of a program).
-///  - Actions (Count, Collect, Reduce, NotEmpty, ...) charge one job-launch
-///    overhead, mirroring Spark where every action triggers a job.
+///  - Actions (Count, NotEmpty, Collect) charge one job-launch overhead,
+///    mirroring Spark where every action triggers a job.
 namespace matryoshka::engine {
 
 namespace internal {
@@ -95,7 +93,6 @@ inline constexpr NarrowShape kFlatMapValuesShape{"flatMapValues", false,
                                                  false, true};
 inline constexpr NarrowShape kZipWithUniqueIdShape{"zipWithUniqueId", true,
                                                    true, false};
-inline constexpr NarrowShape kSampleShape{"sample", false, true, true};
 
 /// The compose step every narrow op shares: force the input's boundary,
 /// charge the op's scan stage from tracked cardinalities (every simulated
@@ -229,28 +226,6 @@ auto FlatMap(const internal::FusedBag<Chain>& bag, F f, double weight = 1.0) {
   }
   return internal::Compose<ExtT>(bag, weight, internal::kFlatMapShape,
                                  [&] { return ExtT{*bag.chain(), f}; });
-}
-
-/// Transforms whole partitions. f: const std::vector<T>& -> std::vector<U>.
-template <typename T, typename F>
-auto MapPartitions(const Bag<T>& bag, F f, double weight = 1.0)
-    -> Bag<typename std::decay_t<
-        decltype(f(std::declval<const std::vector<T>&>()))>::value_type> {
-  using U = typename std::decay_t<
-      decltype(f(std::declval<const std::vector<T>&>()))>::value_type;
-  Cluster* c = bag.cluster();
-  if (!c->ok()) return Bag<U>(c);
-  // Whole-partition transforms cannot be fused per element: a pending input
-  // chain is forced here (driver thread, before the parallel region).
-  bag.Force();
-  internal::ChargeScanStage(bag, weight, "mapPartitions");
-  const auto& parts = bag.partitions();
-  typename Bag<U>::Partitions out(parts.size());
-  internal::GuardedParallelFor(c, parts.size(), [&](std::size_t i) {
-    out[i] = f(parts[i]);
-  });
-  return internal::MaybeAutoCheckpoint(
-      Bag<U>(c, std::move(out), bag.scale(), 0, bag.lineage_depth() + 1));
 }
 
 /// First components of a bag of pairs.
@@ -407,28 +382,6 @@ bool NotEmpty(const Bag<T>& bag) {
   c->BeginJob("notEmpty");
   internal::ChargeScanStage(bag, 0.05, "notEmpty");
   return bag.Size() > 0;
-}
-
-/// Folds all elements with the associative, commutative `f`; nullopt for an
-/// empty bag. Charges a job plus a scan.
-template <typename T, typename F>
-std::optional<T> Reduce(const Bag<T>& bag, F f, double weight = 1.0) {
-  Cluster* c = bag.cluster();
-  if (!c->ok()) return std::nullopt;
-  bag.Force();
-  c->BeginJob("reduce");
-  internal::ChargeScanStage(bag, weight, "reduce");
-  std::optional<T> acc;
-  for (const auto& part : bag.partitions()) {
-    for (const auto& x : part) {
-      if (!acc.has_value()) {
-        acc = x;
-      } else {
-        acc = f(*acc, x);
-      }
-    }
-  }
-  return acc;
 }
 
 /// Materializes the bag at the driver. Charges a job, a scan, and the

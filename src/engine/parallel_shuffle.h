@@ -11,8 +11,8 @@
 
 /// The deterministic parallel shuffle kernel: every wide operator's data
 /// movement (Repartition, PartitionByKey, the ReduceByKey / Distinct
-/// reduce-side scatters, both join sides, Subtract, Intersection) funnels
-/// through ParallelScatter below.
+/// reduce-side scatters, both join sides) funnels through ParallelScatter
+/// below.
 ///
 /// Determinism contract (locked by engine_parallel_determinism_test):
 /// the output is BIT-IDENTICAL — contents and element order per partition —

@@ -129,7 +129,7 @@ std::vector<std::vector<std::pair<K, V>>> ReduceBuild(
     auto growth = [](const V&) { return std::size_t{0}; };
     external::BoundedAggregator<K, V, V, decltype(init), decltype(absorb),
                                 decltype(growth)>
-        agg(quota, init, absorb, growth, &stats[i], c->failpoints(),
+        agg(quota, init, absorb, growth, stats[i], c->failpoints(),
             /*stream_id=*/i);
     agg.Reserve(in[i].size());
     for (const auto& [k, v] : in[i]) agg.Feed(k, v);
@@ -350,7 +350,7 @@ Bag<std::pair<K, std::vector<V>>> GroupByKey(const Bag<std::pair<K, V>>& bag,
     auto growth = [](const V& v) { return EstimateSize(v); };
     external::BoundedAggregator<K, V, std::vector<V>, decltype(init),
                                 decltype(absorb), decltype(growth)>
-        agg(quota, init, absorb, growth, &spill_stats[i], c->failpoints(),
+        agg(quota, init, absorb, growth, spill_stats[i], c->failpoints(),
             /*stream_id=*/i);
     for (auto& [k, v] : shuffled[i]) agg.Feed(k, std::move(v));
     out[i] = agg.Finish();

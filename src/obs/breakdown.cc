@@ -1,8 +1,5 @@
 #include "obs/breakdown.h"
 
-#include <algorithm>
-#include <cstdio>
-
 #include "obs/json_writer.h"
 
 namespace matryoshka::obs {
@@ -61,62 +58,6 @@ std::vector<CriticalStage> CriticalPath(const RunTrace& run) {
     chain.push_back(std::move(link));
   }
   return chain;
-}
-
-namespace {
-
-void AppendRow(std::string* out, const char* name, double seconds,
-               double total) {
-  char buf[128];
-  const double pct = total > 0.0 ? 100.0 * seconds / total : 0.0;
-  std::snprintf(buf, sizeof(buf), "  %-14s %12.4f s  %5.1f%%\n", name,
-                seconds, pct);
-  *out += buf;
-}
-
-}  // namespace
-
-std::string FormatBreakdown(const RunTrace& run, int top_stages) {
-  const Breakdown b = ComputeBreakdown(run);
-  const double total = b.total();
-  std::string out;
-  out += "breakdown";
-  if (!run.name.empty()) out += " of " + run.name;
-  out += ":\n";
-  AppendRow(&out, "job-launch", b.job_launch_s, total);
-  AppendRow(&out, "compute", b.compute_s, total);
-  AppendRow(&out, "task-overhead", b.task_overhead_s, total);
-  AppendRow(&out, "spill", b.spill_s, total);
-  AppendRow(&out, "shuffle", b.shuffle_s, total);
-  AppendRow(&out, "broadcast", b.broadcast_s, total);
-  AppendRow(&out, "collect", b.collect_s, total);
-  AppendRow(&out, "recovery", b.recovery_s, total);
-  AppendRow(&out, "checkpoint", b.checkpoint_s, total);
-  AppendRow(&out, "total", total, total);
-
-  std::vector<CriticalStage> chain = CriticalPath(run);
-  std::sort(chain.begin(), chain.end(),
-            [](const CriticalStage& a, const CriticalStage& b2) {
-              if (a.duration_s != b2.duration_s) {
-                return a.duration_s > b2.duration_s;
-              }
-              return a.stage_id < b2.stage_id;
-            });
-  const std::size_t n =
-      std::min<std::size_t>(chain.size(), static_cast<std::size_t>(
-                                              std::max(0, top_stages)));
-  if (n > 0) out += "top stages by makespan:\n";
-  for (std::size_t i = 0; i < n; ++i) {
-    char buf[160];
-    std::snprintf(buf, sizeof(buf),
-                  "  #%-5lld %-24s %10.4f s  (%lld tasks, slot %lld)\n",
-                  static_cast<long long>(chain[i].stage_id),
-                  chain[i].label.c_str(), chain[i].duration_s,
-                  static_cast<long long>(chain[i].num_tasks),
-                  static_cast<long long>(chain[i].critical_slot));
-    out += buf;
-  }
-  return out;
 }
 
 void WriteBreakdownJson(const Breakdown& b, std::ostream& os) {

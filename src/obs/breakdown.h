@@ -59,10 +59,6 @@ Breakdown ComputeBreakdown(const RunTrace& run);
 /// The stage chain in time order (see CriticalStage).
 std::vector<CriticalStage> CriticalPath(const RunTrace& run);
 
-/// Human-readable report: the bucket table plus the top `top_stages` stages
-/// by duration.
-std::string FormatBreakdown(const RunTrace& run, int top_stages = 8);
-
 /// The breakdown as a JSON object (used by --metrics-json and embedded in
 /// the Chrome trace export).
 void WriteBreakdownJson(const Breakdown& breakdown, std::ostream& os);

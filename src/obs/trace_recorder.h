@@ -183,20 +183,10 @@ class TraceRecorder {
   /// this). An untouched current run is recycled instead of archived.
   void StartRun();
 
-  /// Adopts a finished run recorded by ANOTHER recorder. The serving layer
-  /// records each request into its own per-request recorder (isolation: a
-  /// request's trace is a pure function of that request, bit-identical
-  /// alone or under load), then appends the finished runs here so one
-  /// combined export shows every request in its own lane (the Chrome export
-  /// already renders one process per run). Caller provides any cross-thread
-  /// synchronization; like all recording this is not thread-safe itself.
-  void AppendRun(RunTrace run) { runs_.push_back(std::move(run)); }
-
   /// The run currently being recorded (created on demand).
   RunTrace& current();
   bool has_runs() const { return !runs_.empty(); }
   const std::vector<RunTrace>& runs() const { return runs_; }
-  std::vector<RunTrace>& mutable_runs() { return runs_; }
 
   // --- Recording (called by the engine on the driver thread) ---
 

@@ -44,12 +44,6 @@ class PlanParams {
     return v != nullptr && v->is_int() ? v->AsInt() : fallback;
   }
 
-  double GetDouble(const std::string& key, double fallback) const {
-    const lang::Value* v = Find(key);
-    if (v == nullptr) return fallback;
-    return v->is_double() || v->is_int() ? v->AsDouble() : fallback;
-  }
-
   std::string GetString(const std::string& key, std::string fallback) const {
     const lang::Value* v = Find(key);
     return v != nullptr && v->is_string() ? v->AsString()

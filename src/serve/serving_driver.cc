@@ -8,6 +8,7 @@
 #include "common/logging.h"
 #include "engine/recovery.h"
 #include "obs/chrome_trace.h"
+#include "obs/trace_recorder.h"
 
 namespace matryoshka::serve {
 
@@ -331,10 +332,6 @@ ServeResponse ServingDriver::RunOne(const QueuedItem& item) {
   }
   if (config_.record_traces) {
     resp.trace_json = obs::ChromeTraceToString(recorder);
-    std::lock_guard<std::mutex> lock(mu_);
-    for (obs::RunTrace& run : recorder.mutable_runs()) {
-      combined_trace_.AppendRun(std::move(run));
-    }
   }
 
   if (cacheable && resp.status.ok()) {
@@ -356,11 +353,6 @@ ServingDriver::Stats ServingDriver::GetStats() const {
   stats.aggregate.cache_misses = stats.cache.misses;
   stats.aggregate.cache_evictions = stats.cache.evictions;
   return stats;
-}
-
-void ServingDriver::ExportCombinedTrace(std::ostream& os) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  obs::WriteChromeTrace(combined_trace_, os);
 }
 
 }  // namespace matryoshka::serve

@@ -7,7 +7,6 @@
 #include <deque>
 #include <memory>
 #include <mutex>
-#include <ostream>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -16,7 +15,6 @@
 #include "common/status.h"
 #include "common/thread_pool.h"
 #include "engine/cluster.h"
-#include "obs/trace_recorder.h"
 #include "serve/memo_cache.h"
 #include "serve/plan.h"
 #include "serve/registry.h"
@@ -68,8 +66,8 @@ struct ServingConfig {
   /// Real threads of the shared pool (0 = ThreadPool::DefaultThreads()).
   /// Only consulted when cluster.execute_parallel is on.
   int pool_threads = 0;
-  /// Record a per-request trace lane for every request (response carries
-  /// the Chrome JSON; ExportCombinedTrace merges all lanes).
+  /// Record a per-request trace for every request (the response carries
+  /// it as Chrome JSON).
   bool record_traces = false;
   /// Scheduling weight per tenant (weighted round-robin): a tenant with
   /// weight w is served up to w queued requests per turn before the
@@ -131,10 +129,10 @@ class ServeTicket {
   ServeResponse response_;
 };
 
-/// The driver. Owns the worker threads, the shared pool, the memo cache,
-/// and the combined trace. Registry must outlive the driver and must not
-/// be mutated while requests reference its specs (register everything
-/// first, then serve — the intended lifecycle).
+/// Owns the worker threads, the shared pool and the memo cache. The
+/// registry must outlive this object and must not be mutated while requests
+/// reference its specs (register everything first, then serve — the
+/// intended lifecycle).
 class ServingDriver {
  public:
   ServingDriver(const PlanRegistry* registry, ServingConfig config);
@@ -178,11 +176,6 @@ class ServingDriver {
   };
   Stats GetStats() const;
 
-  /// Writes one Chrome trace containing every request's lane (one
-  /// process per request, in completion order). Call quiesced (after
-  /// Drain); empty unless record_traces.
-  void ExportCombinedTrace(std::ostream& os) const;
-
   ThreadPool* shared_pool() const { return pool_.get(); }
   const ServingConfig& config() const { return config_; }
 
@@ -217,7 +210,6 @@ class ServingDriver {
   int queued_ = 0;
   int executing_ = 0;
   Stats stats_;
-  obs::TraceRecorder combined_trace_;
 
   std::vector<std::thread> workers_;
 };

@@ -108,7 +108,7 @@ AvgDistancesResult AvgDistancesMatryoshka(Cluster* cluster,
     });
     // Every BFS step of every instance probes the component's edges:
     // rekey + partition them once.
-    auto edges_static = core::MakeParentStaticJoinSide(edges_by_src);
+    auto edges_static = core::MakeStaticJoinSide(edges_by_src);
 
     // Level 2: one BFS instance per vertex — each vertex of each component
     // becomes its own child-tagged invocation.

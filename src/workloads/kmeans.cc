@@ -239,12 +239,13 @@ KMeansResult KMeansOuterParallel(Cluster* cluster,
                                  const Bag<std::pair<int64_t, Point>>& points,
                                  const KMeansParams& params) {
   // Streaming implementation: repartition by run id (one partition per
-  // run), then run the sequential K-means inside mapPartitions. Unlike the
-  // groupBy-based workaround of Bounce Rate / PageRank, this never
-  // materializes an Array per group — points are fixed-width records that
-  // can be re-streamed every iteration, and the task's live memory is just
-  // the k centroids. What remains of the workaround's cost is its defining
-  // one: parallelism is capped at the number of runs.
+  // run), then run the sequential K-means over each partition as one task
+  // (Spark's mapPartitions). Unlike the groupBy-based workaround of Bounce
+  // Rate / PageRank, this never materializes an Array per group — points
+  // are fixed-width records that can be re-streamed every iteration, and
+  // the task's live memory is just the k centroids. What remains of the
+  // workaround's cost is its defining one: parallelism is capped at the
+  // number of runs.
   const int64_t num_runs = engine::Count(engine::Distinct(
       engine::Keys(points)));
   auto parted = engine::PartitionByKey(points, std::max<int64_t>(1, num_runs));

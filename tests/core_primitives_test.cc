@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <set>
 #include <string>
@@ -14,6 +16,26 @@
 #include <vector>
 
 #include "core/matryoshka.h"
+
+namespace matryoshka::core {
+namespace {
+
+/// A grouping key whose std::hash is constant: any two keys share one
+/// 64-bit hash, and so one tag.
+struct CollidingKey {
+  int64_t v = 0;
+  bool operator==(const CollidingKey& o) const { return v == o.v; }
+};
+
+}  // namespace
+}  // namespace matryoshka::core
+
+template <>
+struct std::hash<matryoshka::core::CollidingKey> {
+  std::size_t operator()(const matryoshka::core::CollidingKey&) const {
+    return 0;
+  }
+};
 
 namespace matryoshka::core {
 namespace {
@@ -359,6 +381,47 @@ TEST_F(CorePrimitivesTest, MultiLevelNestingComposesTags) {
   std::multiset<int64_t> count_set;
   for (auto& [h, c] : v) count_set.insert(c);
   EXPECT_EQ(count_set, (std::multiset<int64_t>{1, 1, 2}));
+}
+
+TEST_F(CorePrimitivesTest, GroupByKeyFailsTypedOnTagCollision) {
+  // Keys 1 and 2 hash alike. Sharing one tag would merge their groups
+  // (both would count 3); the grouping must fail typed instead.
+  std::vector<std::pair<CollidingKey, int64_t>> data{
+      {CollidingKey{1}, 10}, {CollidingKey{1}, 11}, {CollidingKey{2}, 20}};
+  auto nested = GroupByKeyIntoNestedBag(Parallelize(&cluster_, data, 3));
+  auto counts = LiftedCount(nested.values());
+  auto v = ZipWithKeys(nested.keys(), counts).ToVector();
+  EXPECT_TRUE(cluster_.status().IsUnsupported())
+      << cluster_.status().ToString();
+  EXPECT_NE(cluster_.status().message().find(
+                internal::TagOfKey(CollidingKey{1}).ToString()),
+            std::string::npos)
+      << cluster_.status().message();
+  EXPECT_TRUE(v.empty());
+}
+
+TEST_F(CorePrimitivesTest, LiftedGroupByKeyFailsTypedOnTagCollision) {
+  // Inside outer group 1, inner keys 1 and 2 hash alike and would share one
+  // child tag. Outer group 2 alone holds no collision.
+  using Inner = std::pair<CollidingKey, int64_t>;  // (h, value)
+  std::vector<std::pair<int64_t, Inner>> data{
+      {1, {CollidingKey{1}, 100}},
+      {1, {CollidingKey{1}, 101}},
+      {1, {CollidingKey{2}, 110}},
+      {2, {CollidingKey{1}, 200}}};
+  auto nested = GroupByKeyIntoNestedBag(Parallelize(&cluster_, data, 3));
+  ASSERT_TRUE(cluster_.ok());
+  auto inner_nested = LiftedGroupByKeyIntoNestedBag(nested.values());
+  auto counts = LiftedCount(inner_nested.values());
+  auto v = ZipWithKeys(inner_nested.keys(), counts).ToVector();
+  EXPECT_TRUE(cluster_.status().IsUnsupported())
+      << cluster_.status().ToString();
+  const Tag outer = internal::TagOfKey(int64_t{1});
+  EXPECT_NE(cluster_.status().message().find(
+                internal::ChildTagOfKey(outer, CollidingKey{1}).ToString()),
+            std::string::npos)
+      << cluster_.status().message();
+  EXPECT_TRUE(v.empty());
 }
 
 TEST_F(CorePrimitivesTest, FailedClusterPropagatesThroughPrimitives) {

@@ -461,7 +461,7 @@ TEST(ChaosKernelTest, AggregatorEnospcDrainPreservesFoldOrder) {
                                           decltype(growth)>;
   SpillStats clean_stats;
   Agg unbounded(static_cast<std::size_t>(-1), init, absorb, growth,
-                &clean_stats);
+                clean_stats);
   for (const auto& [k, v] : stream) unbounded.Feed(k, v);
   const auto expected = unbounded.Finish();
   ASSERT_TRUE(unbounded.status().ok());
@@ -471,7 +471,7 @@ TEST(ChaosKernelTest, AggregatorEnospcDrainPreservesFoldOrder) {
   FailpointRegistry fp;
   fp.Arm(plan, RealIoPolicy());  // fallback_in_memory defaults true
   SpillStats stats;
-  Agg bounded(/*quota=*/1, init, absorb, growth, &stats, &fp,
+  Agg bounded(/*quota=*/1, init, absorb, growth, stats, &fp,
               /*stream_id=*/0);
   for (const auto& [k, v] : stream) bounded.Feed(k, v);
   const auto got = bounded.Finish();
@@ -498,7 +498,7 @@ TEST(ChaosKernelTest, AggregatorCorruptionOnMergeIsTyped) {
   SpillStats stats;
   external::BoundedAggregator<int64_t, double, double, decltype(init),
                               decltype(absorb), decltype(growth)>
-      agg(/*quota=*/1, init, absorb, growth, &stats, &fp, /*stream_id=*/0);
+      agg(/*quota=*/1, init, absorb, growth, stats, &fp, /*stream_id=*/0);
   for (const auto& [k, v] : stream) agg.Feed(k, v);
   (void)agg.Finish();
   EXPECT_TRUE(agg.status().IsDataCorruption()) << agg.status().ToString();

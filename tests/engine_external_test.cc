@@ -30,7 +30,6 @@
 #include "engine/external/memory_budget.h"
 #include "engine/external/serde.h"
 #include "engine/external/spill_file.h"
-#include "engine/extra_ops.h"
 #include "engine/join.h"
 #include "engine/ops.h"
 #include "engine/recovery.h"
@@ -334,7 +333,7 @@ TEST(ExternalDeterminismTest, BoundedAggregatorPreservesFoldOrder) {
     auto growth = [](const double&) { return std::size_t{0}; };
     external::BoundedAggregator<int64_t, double, double, decltype(init),
                                 decltype(absorb), decltype(growth)>
-        agg(quota, init, absorb, growth, &stats);
+        agg(quota, init, absorb, growth, stats);
     for (const auto& [k, v] : stream) agg.Feed(k, v);
     return std::make_pair(agg.Finish(), stats);
   };
@@ -397,24 +396,9 @@ TEST(ExternalDeterminismTest, GroupByKeyBudgetInvariant) {
       [](Cluster* c) { return GroupByKey(MakePairs(c), 8); });
 }
 
-TEST(ExternalDeterminismTest, AggregateByKeyBudgetInvariant) {
-  ExpectBudgetInvariant([](Cluster* c) {
-    return AggregateByKey(
-        MakePairs(c), int64_t{0},
-        [](int64_t a, int64_t v) { return a + v; },
-        [](int64_t a, int64_t b) { return a + b; }, 8);
-  });
-}
-
 TEST(ExternalDeterminismTest, DistinctBudgetInvariant) {
   ExpectBudgetInvariant(
       [](Cluster* c) { return Distinct(Keys(MakePairs(c)), 8); });
-}
-
-TEST(ExternalDeterminismTest, CoGroupBudgetInvariant) {
-  ExpectBudgetInvariant([](Cluster* c) {
-    return CoGroup(MakePairs(c), MakeSmallPairs(c), 8);
-  });
 }
 
 TEST(ExternalDeterminismTest, JoinsBudgetInvariant) {
@@ -426,15 +410,6 @@ TEST(ExternalDeterminismTest, JoinsBudgetInvariant) {
   });
   ExpectBudgetInvariant([](Cluster* c) {
     return LeftOuterJoin(MakeSmallPairs(c), MakePairs(c), 8);
-  });
-}
-
-TEST(ExternalDeterminismTest, SetOpsBudgetInvariant) {
-  ExpectBudgetInvariant([](Cluster* c) {
-    return Subtract(Keys(MakePairs(c)), Keys(MakeSmallPairs(c)), 8);
-  });
-  ExpectBudgetInvariant([](Cluster* c) {
-    return Intersection(Keys(MakePairs(c)), Keys(MakeSmallPairs(c)), 8);
   });
 }
 

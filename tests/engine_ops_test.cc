@@ -105,19 +105,6 @@ TEST_F(EngineOpsTest, FlatMapCanDropElements) {
   EXPECT_EQ(out.Size(), 5);
 }
 
-TEST_F(EngineOpsTest, MapPartitionsSeesWholePartitions) {
-  auto bag = Parallelize(&cluster_, Iota(20), 4);
-  auto sums = MapPartitions(bag, [](const std::vector<int64_t>& part) {
-    int64_t s = 0;
-    for (int64_t x : part) s += x;
-    return std::vector<int64_t>{s};
-  });
-  EXPECT_EQ(sums.Size(), 4);
-  int64_t total = 0;
-  for (int64_t s : sums.ToVector()) total += s;
-  EXPECT_EQ(total, 190);
-}
-
 TEST_F(EngineOpsTest, UnionConcatenates) {
   auto a = Parallelize(&cluster_, Iota(5), 2);
   auto b = Parallelize(&cluster_, Iota(5), 3);
@@ -159,19 +146,6 @@ TEST_F(EngineOpsTest, NotEmptyAction) {
   EXPECT_TRUE(NotEmpty(bag));
   auto empty = Filter(bag, [](int64_t) { return false; });
   EXPECT_FALSE(NotEmpty(empty));
-}
-
-TEST_F(EngineOpsTest, ReduceAction) {
-  auto bag = Parallelize(&cluster_, Iota(10), 3);
-  auto sum = Reduce(bag, [](int64_t a, int64_t b) { return a + b; });
-  ASSERT_TRUE(sum.has_value());
-  EXPECT_EQ(*sum, 45);
-}
-
-TEST_F(EngineOpsTest, ReduceEmptyIsNullopt) {
-  auto bag = Parallelize(&cluster_, std::vector<int64_t>{}, 3);
-  EXPECT_FALSE(Reduce(bag, [](int64_t a, int64_t b) { return a + b; })
-                   .has_value());
 }
 
 TEST_F(EngineOpsTest, CollectReturnsAll) {
@@ -302,24 +276,6 @@ TEST_F(EngineOpsTest, LeftOuterJoinKeepsUnmatchedLeft) {
   EXPECT_FALSE(v[1].second.second.has_value());
 }
 
-TEST_F(EngineOpsTest, CoGroupGathersBothSides) {
-  std::vector<std::pair<int64_t, int64_t>> left{{1, 10}, {1, 11}, {2, 20}};
-  std::vector<std::pair<int64_t, int64_t>> right{{1, 100}, {3, 300}};
-  auto l = Parallelize(&cluster_, left, 2);
-  auto r = Parallelize(&cluster_, right, 2);
-  auto cg = CoGroup(l, r, 4);
-  auto v = cg.ToVector();
-  ASSERT_EQ(v.size(), 3u);
-  std::sort(v.begin(), v.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  EXPECT_EQ(v[0].second.first.size(), 2u);
-  EXPECT_EQ(v[0].second.second.size(), 1u);
-  EXPECT_EQ(v[1].second.first.size(), 1u);
-  EXPECT_EQ(v[1].second.second.size(), 0u);
-  EXPECT_EQ(v[2].second.first.size(), 0u);
-  EXPECT_EQ(v[2].second.second.size(), 1u);
-}
-
 /// A join payload that counts its copies (moves are free).
 struct CopyCounted {
   static inline int64_t copies = 0;
@@ -369,13 +325,6 @@ TEST_F(EngineOpsTest, CoPartitionedJoinSideIsReadInPlace) {
   const int64_t outer_rows = LeftOuterJoin(l, r).Size();
   EXPECT_GT(outer_rows, inner_rows);  // keys 25..39 have no match
   EXPECT_EQ(CopyCounted::copies, outer_rows);
-}
-
-TEST_F(EngineOpsTest, CartesianProducesAllPairs) {
-  auto a = Parallelize(&cluster_, Iota(4), 2);
-  auto b = Parallelize(&cluster_, Iota(3), 2);
-  auto prod = Cartesian(a, b);
-  EXPECT_EQ(prod.Size(), 12);
 }
 
 TEST_F(EngineOpsTest, FailedClusterShortCircuits) {

@@ -16,7 +16,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <string>
 #include <tuple>
@@ -24,7 +23,6 @@
 #include <vector>
 
 #include "engine/bag.h"
-#include "engine/extra_ops.h"
 #include "engine/join.h"
 #include "engine/ops.h"
 #include "engine/parallel_shuffle.h"
@@ -35,8 +33,6 @@
 
 namespace matryoshka::engine {
 namespace {
-
-constexpr uint64_t kSeed = 77;
 
 ClusterConfig Config(bool parallel) {
   ClusterConfig cfg;
@@ -82,12 +78,9 @@ SuiteOutcome RunSuite(ClusterConfig cfg) {
   auto flat = FlatMapValues(filtered, [](int64_t v) {
     return std::vector<int64_t>{v, v * 2};
   });
-  auto repartitioned = MapPartitions(
-      flat, [](const std::vector<std::pair<int64_t, int64_t>>& part) {
-        return part;
-      });
+  auto repartitioned = Repartition(flat, 8);
   auto with_ids = ZipWithUniqueId(Values(repartitioned));
-  auto sampled = Sample(Keys(pairs), 0.5, kSeed);
+  auto even_keys = Filter(Keys(pairs), [](int64_t k) { return k % 2 == 0; });
 
   // Wide operators.
   auto reduced_bag = ReduceByKey(
@@ -97,12 +90,11 @@ SuiteOutcome RunSuite(ClusterConfig cfg) {
     return static_cast<int64_t>(g.size());
   });
   auto distinct = Distinct(Keys(filtered), 8);
-  auto aggregated = AggregateByKey(
-      filtered, int64_t{0}, [](int64_t a, int64_t v) { return a + v; },
-      [](int64_t a, int64_t b) { return a + b; }, 8);
+  auto summed = ReduceByKey(
+      filtered, [](int64_t a, int64_t b) { return a + b; }, 8);
 
   // Joins.
-  auto joined = RepartitionJoin(reduced_bag, aggregated, 8);
+  auto joined = RepartitionJoin(reduced_bag, summed, 8);
   auto joined_flat = MapValues(
       joined, [](const std::pair<int64_t, int64_t>& vw) {
         return vw.first + vw.second;
@@ -112,28 +104,27 @@ SuiteOutcome RunSuite(ClusterConfig cfg) {
   auto small = Parallelize(&c, small_kv, 2, /*scale=*/1.0);
   auto bjoined = BroadcastJoin(reduced_bag, small);
   auto louter = LeftOuterJoin(small, reduced_bag, 8);
-  auto cogrouped = CoGroup(reduced_bag, aggregated, 8);
-  auto cg_sizes = MapValues(
-      cogrouped,
-      [](const std::pair<std::vector<int64_t>, std::vector<int64_t>>& g) {
-        return static_cast<int64_t>(g.first.size() + 100 * g.second.size());
+  auto louter_sums = MapValues(
+      LeftOuterJoin(reduced_bag, small, 8),
+      [](const std::pair<int64_t, std::optional<int64_t>>& vw) {
+        return vw.first + vw.second.value_or(-1);
       });
-  auto cart = Cartesian(distinct, Keys(small));
-  auto cart_sums = Map(cart, [](const std::pair<int64_t, int64_t>& p) {
-    return p.first * 1000 + p.second;
+  auto keyed_distinct = Map(distinct, [](int64_t k) {
+    return std::pair<int64_t, int64_t>(k % 16, k);
   });
+  auto crossed = BroadcastJoin(keyed_distinct, small);
+  auto crossed_sums = Map(
+      crossed,
+      [](const std::pair<int64_t, std::pair<int64_t, int64_t>>& p) {
+        return p.second.first * 1000 + p.second.second;
+      });
 
-  // Set ops.
-  auto sub = Subtract(Keys(filtered), distinct, 8);  // empty by construction
-  auto inter = Intersection(Keys(filtered), sampled, 8);
-  auto unioned = Union(distinct, inter);
+  // Union.
+  auto unioned = Union(distinct, Distinct(even_keys, 8));
 
   // Actions.
   out.count = Count(unioned);
-  out.reduced =
-      Reduce(Values(aggregated), [](int64_t a, int64_t b) { return a + b; })
-          .value_or(0);
-  auto top = TopK(Keys(pairs), 5, std::less<int64_t>());
+  for (int64_t v : Collect(Values(summed))) out.reduced += v;
 
   auto snap_pairs = [](std::vector<std::pair<int64_t, int64_t>> v) {
     std::sort(v.begin(), v.end());
@@ -152,19 +143,17 @@ SuiteOutcome RunSuite(ClusterConfig cfg) {
         return vw.first - vw.second;
       })));
   out.pairs.insert(out.pairs.end(), bj.begin(), bj.end());
-  auto cg = snap_pairs(Collect(cg_sizes));
-  out.pairs.insert(out.pairs.end(), cg.begin(), cg.end());
+  auto lo = snap_pairs(Collect(louter_sums));
+  out.pairs.insert(out.pairs.end(), lo.begin(), lo.end());
 
-  out.ints = snap_ints(Collect(cart_sums));
-  auto extra1 = snap_ints(Collect(sub));
-  auto extra2 = snap_ints(Collect(unioned));
-  auto extra3 = snap_ints(Collect(Map(with_ids, [](const std::pair<uint64_t, int64_t>& p) {
-    return static_cast<int64_t>(p.first);
-  })));
+  out.ints = snap_ints(Collect(crossed_sums));
+  auto extra1 = snap_ints(Collect(unioned));
+  auto extra2 = snap_ints(Collect(
+      Map(with_ids, [](const std::pair<uint64_t, int64_t>& p) {
+        return static_cast<int64_t>(p.first);
+      })));
   out.extras = extra1;
   out.extras.insert(out.extras.end(), extra2.begin(), extra2.end());
-  out.extras.insert(out.extras.end(), extra3.begin(), extra3.end());
-  out.extras.insert(out.extras.end(), top.begin(), top.end());
   (void)NotEmpty(louter);
 
   out.ok = c.ok();
@@ -322,30 +311,9 @@ TEST(ParallelDeterminismTest, GroupByKeyBitIdentical) {
       [](Cluster* c) { return GroupByKey(MakePairs(c), 8); });
 }
 
-TEST(ParallelDeterminismTest, AggregateByKeyBitIdentical) {
-  ExpectOpBitIdentical([](Cluster* c) {
-    return AggregateByKey(
-        MakePairs(c), int64_t{0},
-        [](int64_t a, int64_t v) { return a + v; },
-        [](int64_t a, int64_t b) { return a + b; }, 8);
-  });
-}
-
 TEST(ParallelDeterminismTest, DistinctBitIdentical) {
   ExpectOpBitIdentical(
       [](Cluster* c) { return Distinct(Keys(MakePairs(c)), 8); });
-}
-
-TEST(ParallelDeterminismTest, SubtractBitIdentical) {
-  ExpectOpBitIdentical([](Cluster* c) {
-    return Subtract(Keys(MakePairs(c)), Keys(MakeSmallPairs(c)), 8);
-  });
-}
-
-TEST(ParallelDeterminismTest, IntersectionBitIdentical) {
-  ExpectOpBitIdentical([](Cluster* c) {
-    return Intersection(Keys(MakePairs(c)), Keys(MakeSmallPairs(c)), 8);
-  });
 }
 
 TEST(ParallelDeterminismTest, RepartitionJoinBitIdentical) {
@@ -366,12 +334,6 @@ TEST(ParallelDeterminismTest, BroadcastJoinBitIdentical) {
 TEST(ParallelDeterminismTest, LeftOuterJoinBitIdentical) {
   ExpectOpBitIdentical([](Cluster* c) {
     return LeftOuterJoin(MakePairs(c), MakeSmallPairs(c), 8);
-  });
-}
-
-TEST(ParallelDeterminismTest, CoGroupBitIdentical) {
-  ExpectOpBitIdentical([](Cluster* c) {
-    return CoGroup(MakePairs(c), MakeSmallPairs(c), 8);
   });
 }
 
@@ -534,32 +496,9 @@ TEST(FusionDeterminismTest, ZipWithUniqueIdBitIdentical) {
   });
 }
 
-TEST(FusionDeterminismTest, SampleBitIdentical) {
-  ExpectFusionBitIdentical([](Cluster* c) {
-    // The per-partition position counter drives Sample's deterministic
-    // draws; composing must reproduce them exactly.
-    auto mapped = Map(Keys(MakePairs(c)), [](int64_t k) { return k + 100; });
-    return Sample(mapped, 0.5, kSeed);
-  });
-}
-
-TEST(FusionDeterminismTest, MapPartitionsForcesPendingInput) {
-  ExpectFusionBitIdentical([](Cluster* c) {
-    auto mapped = Map(MakePairs(c), [](const std::pair<int64_t, int64_t>& p) {
-      return std::pair<int64_t, int64_t>(p.first, p.second * 2);
-    });
-    return MapPartitions(
-        mapped, [](const std::vector<std::pair<int64_t, int64_t>>& part) {
-          std::vector<std::pair<int64_t, int64_t>> out(part.rbegin(),
-                                                       part.rend());
-          return out;
-        });
-  });
-}
-
 TEST(FusionDeterminismTest, CardinalityChangingChainBitIdentical) {
-  // filter -> map -> sample: every op after the filter composes on a forced
-  // boundary; the data and charges must still match per-op exactly.
+  // filter -> map -> filter: every op after the first filter composes on a
+  // forced boundary; the data and charges must still match per-op exactly.
   ExpectFusionBitIdentical([](Cluster* c) {
     auto filtered =
         Filter(MakePairs(c), [](const std::pair<int64_t, int64_t>& p) {
@@ -568,7 +507,9 @@ TEST(FusionDeterminismTest, CardinalityChangingChainBitIdentical) {
     auto mapped = Map(filtered, [](const std::pair<int64_t, int64_t>& p) {
       return std::pair<int64_t, int64_t>(p.first / 2, p.second);
     });
-    return Sample(mapped, 0.7, kSeed + 1);
+    return Filter(mapped, [](const std::pair<int64_t, int64_t>& p) {
+      return (p.first + p.second) % 10 < 7;
+    });
   });
 }
 
@@ -658,32 +599,12 @@ TEST(FusionDeterminismTest, ForcedByJoins) {
           return vw.first + vw.second.value_or(-1);
         });
   });
-  ExpectFusionBitIdentical([](Cluster* c) {
-    auto cg = CoGroup(NarrowChain(c), MakeSmallPairs(c), 8);
-    return MapValues(
-        cg, [](const std::pair<std::vector<int64_t>, std::vector<int64_t>>& g) {
-          return static_cast<int64_t>(g.first.size() + 100 * g.second.size());
-        });
-  });
 }
 
-TEST(FusionDeterminismTest, ForcedBySetOpsUnionAndCartesian) {
-  ExpectFusionBitIdentical([](Cluster* c) {
-    return Subtract(Keys(NarrowChain(c)), Keys(MakeSmallPairs(c)), 8);
-  });
-  ExpectFusionBitIdentical([](Cluster* c) {
-    return Intersection(Keys(NarrowChain(c)), Keys(MakePairs(c)), 8);
-  });
+TEST(FusionDeterminismTest, ForcedByUnion) {
   ExpectFusionBitIdentical([](Cluster* c) {
     auto left = Map(Keys(MakePairs(c)), [](int64_t k) { return k + 1; });
     return Union(left, Keys(MakeSmallPairs(c)));
-  });
-  ExpectFusionBitIdentical([](Cluster* c) {
-    auto cart = Cartesian(Keys(MakeSmallPairs(c)),
-                          Distinct(Keys(NarrowChain(c)), 4));
-    return Map(cart, [](const std::pair<int64_t, int64_t>& p) {
-      return std::pair<int64_t, int64_t>(p.first, p.second);
-    });
   });
 }
 
@@ -693,8 +614,8 @@ TEST(FusionDeterminismTest, ForcedByCheckpoint) {
 }
 
 TEST(FusionDeterminismTest, ActionsForceAndMatch) {
-  // Count / NotEmpty / Reduce / Collect / TopK on a pending chain must
-  // return the per-op values and charge the per-op metrics.
+  // Count / NotEmpty / Collect on a pending chain must return the per-op
+  // values and charge the per-op metrics.
   for (int regime = 0; regime < 3; ++regime) {
     ClusterConfig base = Config(true);
     if (regime == 1) base = WithFaults(base);
@@ -707,9 +628,8 @@ TEST(FusionDeterminismTest, ActionsForceAndMatch) {
       return std::tuple<int64_t, bool, int64_t,
                         std::vector<std::pair<int64_t, int64_t>>,
                         std::vector<int64_t>>(
-          Count(chain), NotEmpty(chain),
-          Reduce(keys, [](int64_t a, int64_t b) { return a + b; }).value_or(0),
-          Collect(NarrowChain(c)), TopK(keys, 5, std::less<int64_t>()));
+          Count(chain), NotEmpty(chain), Count(keys), Collect(NarrowChain(c)),
+          Collect(keys));
     };
     EXPECT_EQ(run(&per_op), run(&fused)) << "regime " << regime;
     ExpectSameMetrics(per_op.metrics(), fused.metrics());

@@ -17,7 +17,6 @@
 
 #include "engine/bag.h"
 #include "engine/cluster.h"
-#include "engine/extra_ops.h"
 #include "engine/ops.h"
 #include "gtest/gtest.h"
 
