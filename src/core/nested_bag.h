@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -59,43 +58,38 @@ Tag TagOfKey(const K& key) {
   return Tag::Root(static_cast<uint64_t>(Hasher{}(key)));
 }
 
+/// The child tag of grouping key `key` under `parent`: the top
+/// Tag::kChildIdBits bits of its mixed hash. Keys whose hashes differ only
+/// in the dropped bits share a tag, and fail like any other collision.
 template <typename K>
 Tag ChildTagOfKey(const Tag& parent, const K& key) {
-  return parent.Child(static_cast<uint64_t>(Hasher{}(key)));
+  return parent.Child(static_cast<uint64_t>(Hasher{}(key)) >>
+                      (64 - Tag::kChildIdBits));
 }
 
 /// Fails the cluster with Unsupported when two elements of the distinct
-/// grouping-key bag `keys` map to one tag under `tag_of`. Keys that collide
-/// have equal hashes, so the key Distinct placed them in one partition:
-/// checking each already-materialized partition on its own finds every
-/// collision, without a charged stage.
+/// grouping-key bag `keys` map to one tag under `tag_of`. Colliding keys
+/// need not share a partition of `keys`: a child tag keeps only the top
+/// Tag::kChildIdBits bits of the key hash that placed its key. So one index
+/// takes every tag, on the driver and without a charged stage.
 template <typename T, typename TagOf>
 void FailOnTagCollision(const engine::Bag<T>& keys, TagOf tag_of) {
   engine::Cluster* c = keys.cluster();
   if (!c->ok()) return;
-  const auto& parts = keys.partitions();
-  std::vector<std::optional<Tag>> collision(parts.size());
-  engine::internal::GuardedParallelFor(c, parts.size(), [&](std::size_t i) {
-    engine::KeyedIndex index;
-    index.Reserve(parts[i].size());
-    std::vector<Tag> seen;
-    seen.reserve(parts[i].size());
-    for (const T& key : parts[i]) {
+  engine::KeyedIndex index;
+  std::vector<Tag> seen;
+  for (const auto& part : keys.partitions()) {
+    for (const T& key : part) {
       const Tag tag = tag_of(key);
       const engine::KeyedIndex::Probe probe = index.Find(tag, seen);
       if (probe.found()) {
-        collision[i] = tag;
+        c->Fail(Status::Unsupported("distinct grouping keys share tag " +
+                                    tag.ToString() +
+                                    " (colliding key hashes)"));
         return;
       }
       index.Insert(probe);
       seen.push_back(tag);
-    }
-  });
-  for (const std::optional<Tag>& tag : collision) {
-    if (tag.has_value()) {
-      c->Fail(Status::Unsupported("distinct grouping keys share tag " +
-                                  tag->ToString() + " (equal key hashes)"));
-      return;
     }
   }
 }

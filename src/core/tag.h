@@ -1,10 +1,11 @@
 #ifndef MATRYOSHKA_CORE_TAG_H_
 #define MATRYOSHKA_CORE_TAG_H_
 
-#include <array>
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <type_traits>
 
 #include "common/hash.h"
 #include "common/logging.h"
@@ -20,94 +21,104 @@ namespace matryoshka::core {
 /// tag is *composite*: one component per surrounding lifted UDF (Sec. 7,
 /// "lifting tags for three or more levels are composed of one lifting tag
 /// for each outer level"). A depth-1 tag identifies an invocation at the
-/// second level, a depth-2 tag at the third level, and so on.
+/// second level and a depth-2 tag one at the third, the deepest level
+/// supported (AvgDistances's three levels of parallelism need no more).
 ///
-/// Tags are small PODs (trivially copyable, hashable, totally ordered) so
-/// they can be shuffled and used as composite join keys cheaply.
+/// Every lifted element carries one, so a tag is two 64-bit words: the root
+/// id in full, and a word packing the child id (62 bits, 0 below depth 2)
+/// over the depth in its 2 low bits. Unused ids are zero, so equality is
+/// bitwise. Tags are trivially copyable, hashable and totally ordered, so
+/// they shuffle, spill and serve as composite join keys cheaply.
 class Tag {
  public:
-  static constexpr uint32_t kMaxDepth = 4;
+  static constexpr uint32_t kMaxDepth = 2;
+  /// Width of a child id (the id at level 1).
+  static constexpr uint32_t kChildIdBits = 62;
 
-  Tag() : depth_(0) {}
+  Tag() = default;
 
   /// A depth-1 tag for top-level lifted UDF invocation `id`.
-  static Tag Root(uint64_t id) {
-    Tag t;
-    t.depth_ = 1;
-    t.ids_[0] = id;
-    return t;
-  }
+  static Tag Root(uint64_t id) { return Tag(id, 1); }
 
-  /// Derives the tag of an invocation nested inside this one.
+  /// Derives the tag of an invocation nested inside this one. Below the
+  /// root, `id` must fit in kChildIdBits.
   Tag Child(uint64_t id) const {
-    MATRYOSHKA_CHECK(depth_ < kMaxDepth) << "tag nesting deeper than "
-                                         << kMaxDepth << " levels";
-    Tag t = *this;
-    t.ids_[t.depth_++] = id;
-    return t;
+    MATRYOSHKA_CHECK(depth() < kMaxDepth) << "tag nesting deeper than "
+                                          << kMaxDepth << " levels";
+    if (depth() == 0) return Root(id);
+    MATRYOSHKA_CHECK(id >> kChildIdBits == 0)
+        << "child tag id " << id << " wider than " << kChildIdBits << " bits";
+    return Tag(root_, (id << kDepthBits) | (depth() + 1));
   }
 
   /// The tag of the enclosing invocation (depth reduced by one).
   Tag Parent() const {
-    MATRYOSHKA_CHECK(depth_ > 0);
-    Tag t = *this;
-    t.ids_[--t.depth_] = 0;
-    return t;
+    MATRYOSHKA_CHECK(depth() > 0);
+    return depth() == 1 ? Tag() : Root(root_);
   }
 
-  uint32_t depth() const { return depth_; }
-  uint64_t id_at(uint32_t level) const {
-    MATRYOSHKA_DCHECK(level < depth_);
-    return ids_[level];
+  uint32_t depth() const {
+    return static_cast<uint32_t>(child_depth_ & kDepthMask);
   }
-  /// The innermost id component.
-  uint64_t leaf_id() const {
-    MATRYOSHKA_CHECK(depth_ > 0);
-    return ids_[depth_ - 1];
+  uint64_t id_at(uint32_t level) const {
+    MATRYOSHKA_DCHECK(level < depth());
+    return level == 0 ? root_ : child_depth_ >> kDepthBits;
   }
 
   friend bool operator==(const Tag& a, const Tag& b) {
-    if (a.depth_ != b.depth_) return false;
-    for (uint32_t i = 0; i < a.depth_; ++i) {
-      if (a.ids_[i] != b.ids_[i]) return false;
-    }
-    return true;
+    return a.root_ == b.root_ && a.child_depth_ == b.child_depth_;
   }
   friend bool operator!=(const Tag& a, const Tag& b) { return !(a == b); }
+  /// Depth first, then the ids level by level.
   friend bool operator<(const Tag& a, const Tag& b) {
-    if (a.depth_ != b.depth_) return a.depth_ < b.depth_;
-    for (uint32_t i = 0; i < a.depth_; ++i) {
-      if (a.ids_[i] != b.ids_[i]) return a.ids_[i] < b.ids_[i];
-    }
-    return false;
+    if (a.depth() != b.depth()) return a.depth() < b.depth();
+    if (a.root_ != b.root_) return a.root_ < b.root_;
+    return a.child_depth_ < b.child_depth_;
   }
 
+  /// Seeded with the depth, then one HashCombine per id: partition
+  /// assignment, and with it the simulated clock, depends on this value.
   std::size_t HashValue() const {
-    std::size_t seed = depth_;
-    for (uint32_t i = 0; i < depth_; ++i) seed = HashCombine(seed, ids_[i]);
+    const uint32_t d = depth();
+    std::size_t seed = d;
+    if (d > 0) seed = HashCombine(seed, root_);
+    if (d > 1) seed = HashCombine(seed, child_depth_ >> kDepthBits);
     return seed;
   }
 
   std::string ToString() const {
     std::string s = "[";
-    for (uint32_t i = 0; i < depth_; ++i) {
+    for (uint32_t i = 0; i < depth(); ++i) {
       if (i > 0) s += ".";
-      s += std::to_string(ids_[i]);
+      s += std::to_string(id_at(i));
     }
     s += "]";
     return s;
   }
 
  private:
-  std::array<uint64_t, kMaxDepth> ids_{};
-  uint32_t depth_;
+  static constexpr uint32_t kDepthBits = 64 - kChildIdBits;
+  static constexpr uint64_t kDepthMask = (uint64_t{1} << kDepthBits) - 1;
+
+  Tag(uint64_t root, uint64_t child_depth)
+      : root_(root), child_depth_(child_depth) {}
+
+  uint64_t root_ = 0;
+  uint64_t child_depth_ = 0;  // (child id << kDepthBits) | depth
 };
+
+// Every lifted element is a pair<Tag, E>: scatters, keyed builds and joins
+// move these bytes, and the spill serde copies them raw into runs and their
+// checksums, so a padding byte would be spilled and hashed.
+static_assert(sizeof(Tag) == 16);
+static_assert(std::is_trivially_copyable_v<Tag>);
+static_assert(std::has_unique_object_representations_v<Tag>);
 
 }  // namespace matryoshka::core
 
 namespace matryoshka::sizing_internal {
-// On the wire a tag is one 64-bit id per level (the in-memory struct is
-// padded to max depth, but shuffles/broadcasts move the serialized form).
+// On the wire a tag is one 64-bit id per level; the simulated clock charges
+// that serialized form, not the two in-memory words.
 template <>
 struct Sizer<core::Tag> {
   static std::size_t Of(const core::Tag& t) {

@@ -27,6 +27,36 @@ struct CollidingKey {
   bool operator==(const CollidingKey& o) const { return v == o.v; }
 };
 
+/// Inverse of `x ^= x >> s`.
+constexpr uint64_t UnXorShift(uint64_t y, int s) {
+  uint64_t x = y;
+  for (int known = s; known < 64; known += s) x = y ^ (x >> s);
+  return x;
+}
+
+/// Multiplicative inverse of odd `a` modulo 2^64 (Newton's iteration; each
+/// step doubles the correct low bits, starting from 3).
+constexpr uint64_t InverseMod64(uint64_t a) {
+  uint64_t x = a;
+  for (int i = 0; i < 5; ++i) x *= 2 - a * x;
+  return x;
+}
+
+/// Inverse of Mix64, which is a bijection.
+constexpr uint64_t UnMix64(uint64_t h) {
+  h = UnXorShift(h, 31);
+  h *= InverseMod64(0x94d049bb133111ebULL);
+  h = UnXorShift(h, 27);
+  h *= InverseMod64(0xbf58476d1ce4e5b9ULL);
+  return UnXorShift(h, 30);
+}
+
+/// A grouping key whose mixed hash (Hasher) is `mixed`.
+struct MixedHashKey {
+  uint64_t mixed = 0;
+  bool operator==(const MixedHashKey& o) const { return mixed == o.mixed; }
+};
+
 }  // namespace
 }  // namespace matryoshka::core
 
@@ -34,6 +64,13 @@ template <>
 struct std::hash<matryoshka::core::CollidingKey> {
   std::size_t operator()(const matryoshka::core::CollidingKey&) const {
     return 0;
+  }
+};
+
+template <>
+struct std::hash<matryoshka::core::MixedHashKey> {
+  std::size_t operator()(const matryoshka::core::MixedHashKey& k) const {
+    return matryoshka::core::UnMix64(k.mixed);
   }
 };
 
@@ -59,15 +96,101 @@ std::vector<T> Sorted(std::vector<T> v) {
   return v;
 }
 
+/// The largest child id a tag holds: Tag::kChildIdBits bits.
+constexpr uint64_t kMaxChildId = (uint64_t{1} << Tag::kChildIdBits) - 1;
+
+/// `ids` as a tag: a root, then at most one child.
+Tag MakeTag(const std::vector<uint64_t>& ids) {
+  Tag t;
+  for (uint64_t id : ids) t = t.Child(id);
+  return t;
+}
+
 TEST(TagTest, RootAndChild) {
   Tag r = Tag::Root(7);
   EXPECT_EQ(r.depth(), 1u);
-  EXPECT_EQ(r.leaf_id(), 7u);
+  EXPECT_EQ(r.id_at(0), 7u);
   Tag c = r.Child(3);
   EXPECT_EQ(c.depth(), 2u);
   EXPECT_EQ(c.id_at(0), 7u);
   EXPECT_EQ(c.id_at(1), 3u);
   EXPECT_EQ(c.Parent(), r);
+}
+
+TEST(TagTest, ParentRoundTripsAtBothDepths) {
+  EXPECT_NE(Tag(), Tag::Root(0));
+  EXPECT_EQ(Tag().depth(), 0u);
+  for (uint64_t root : {uint64_t{0}, uint64_t{1} << 63, ~uint64_t{0}}) {
+    EXPECT_EQ(Tag::Root(root).Parent(), Tag());
+    EXPECT_EQ(Tag().Child(root), Tag::Root(root));
+    for (uint64_t child : {uint64_t{0}, uint64_t{5}, kMaxChildId}) {
+      const Tag c = Tag::Root(root).Child(child);
+      EXPECT_EQ(c.id_at(0), root);
+      EXPECT_EQ(c.id_at(1), child);
+      EXPECT_EQ(c.Parent(), Tag::Root(root));
+    }
+  }
+}
+
+TEST(TagTest, HashValueKeepsTheWideLayoutsFormula) {
+  // Partition assignment hashes tags, so this formula (the depth as the
+  // seed, then one HashCombine per id) is what keeps partitions, and the
+  // simulated clock, independent of the tag's in-memory layout.
+  auto formula = [](const std::vector<uint64_t>& ids) {
+    std::size_t seed = ids.size();
+    for (uint64_t id : ids) seed = HashCombine(seed, id);
+    return seed;
+  };
+  const std::vector<std::vector<uint64_t>> cases{
+      {},
+      {0},
+      {7},
+      {uint64_t{1} << 63},
+      {~uint64_t{0}},
+      {7, 0},
+      {7, 3},
+      {~uint64_t{0}, kMaxChildId},
+      {uint64_t{1} << 63, uint64_t{1} << 61}};
+  for (const auto& ids : cases) {
+    const Tag t = MakeTag(ids);
+    EXPECT_EQ(t.HashValue(), formula(ids)) << t.ToString();
+    EXPECT_EQ(std::hash<Tag>{}(t), formula(ids)) << t.ToString();
+  }
+}
+
+TEST(TagTest, OrderIsDepthThenIdsLexicographic) {
+  std::vector<std::vector<uint64_t>> ids{{}};
+  const std::vector<uint64_t> roots{0,
+                                    1,
+                                    2,
+                                    (uint64_t{1} << 62) + 1,
+                                    uint64_t{1} << 63,
+                                    (uint64_t{1} << 63) + 1,
+                                    ~uint64_t{0}};
+  const std::vector<uint64_t> children{0, 1, 2, uint64_t{1} << 61,
+                                       kMaxChildId};
+  for (uint64_t r : roots) {
+    ids.push_back({r});
+    for (uint64_t c : children) ids.push_back({r, c});
+  }
+  // The reference key: (depth, id_0, ..., id_{depth-1}).
+  auto key = [](std::vector<uint64_t> v) {
+    v.insert(v.begin(), v.size());
+    return v;
+  };
+  for (const auto& a : ids) {
+    for (const auto& b : ids) {
+      const Tag ta = MakeTag(a);
+      const Tag tb = MakeTag(b);
+      EXPECT_EQ(ta < tb, key(a) < key(b)) << ta.ToString() << tb.ToString();
+      EXPECT_EQ(ta == tb, a == b) << ta.ToString() << tb.ToString();
+    }
+  }
+}
+
+TEST(TagDeathTest, ChildBeyondMaxDepthOrChildIdWidthDies) {
+  EXPECT_DEATH(Tag::Root(1).Child(2).Child(3), "deeper than 2 levels");
+  EXPECT_DEATH(Tag::Root(1).Child(kMaxChildId + 1), "wider than 62 bits");
 }
 
 TEST(TagTest, EqualityAndOrdering) {
@@ -419,6 +542,34 @@ TEST_F(CorePrimitivesTest, LiftedGroupByKeyFailsTypedOnTagCollision) {
   const Tag outer = internal::TagOfKey(int64_t{1});
   EXPECT_NE(cluster_.status().message().find(
                 internal::ChildTagOfKey(outer, CollidingKey{1}).ToString()),
+            std::string::npos)
+      << cluster_.status().message();
+  EXPECT_TRUE(v.empty());
+}
+
+TEST_F(CorePrimitivesTest, LiftedGroupByKeyFailsTypedOnNarrowedChildId) {
+  // The inner keys' mixed hashes differ only in the low bits ChildTagOfKey
+  // drops: the keys share one child tag, though their differing hashes
+  // place them apart in the key Distinct.
+  const uint64_t h = 0x243f6a8885a308d0ULL;
+  const MixedHashKey a{h};
+  const MixedHashKey b{h | 3};
+  ASSERT_EQ(Hasher{}(a), h);
+  ASSERT_EQ(Hasher{}(b), h | 3);
+  const Tag outer = internal::TagOfKey(int64_t{1});
+  const Tag shared = internal::ChildTagOfKey(outer, a);
+  ASSERT_EQ(internal::ChildTagOfKey(outer, b), shared);
+  using Inner = std::pair<MixedHashKey, int64_t>;
+  std::vector<std::pair<int64_t, Inner>> data{
+      {1, {a, 100}}, {1, {a, 101}}, {1, {b, 110}}};
+  auto nested = GroupByKeyIntoNestedBag(Parallelize(&cluster_, data, 3));
+  ASSERT_TRUE(cluster_.ok());
+  auto inner_nested = LiftedGroupByKeyIntoNestedBag(nested.values());
+  auto counts = LiftedCount(inner_nested.values());
+  auto v = ZipWithKeys(inner_nested.keys(), counts).ToVector();
+  EXPECT_TRUE(cluster_.status().IsUnsupported())
+      << cluster_.status().ToString();
+  EXPECT_NE(cluster_.status().message().find(shared.ToString()),
             std::string::npos)
       << cluster_.status().message();
   EXPECT_TRUE(v.empty());

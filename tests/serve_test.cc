@@ -133,7 +133,7 @@ Result<PlanSpec> DoublePlusBoostSpec() {
   p.result = "out";
 
   auto rows = std::make_shared<std::vector<lang::Value>>();
-  for (int64_t i = 1; i <= 100; ++i) rows->push_back(lang::Value(i));
+  for (int64_t i = 1; i <= 100; ++i) rows->emplace_back(i);
   return MakeLangPlanSpec("double_plus_boost", p,
                           {LangSource{"data", rows, 4}},
                           "2x over fixed rows, plus the boost param");
